@@ -162,6 +162,26 @@ impl IncrementalHashers {
     }
 }
 
+/// One step of the rolling partial sum `S(t) = rot1(S(t−1)) XOR t`,
+/// within `k` bits (`mask` = the low `k` bits set; `t` already
+/// compressed to `k` bits). For `k = 64` the shift pair is the native
+/// rotate.
+#[inline]
+pub(crate) fn rolled(s: u64, t: u64, k: u32, mask: u64) -> u64 {
+    (((s << 1) | (s >> (k - 1))) & mask) ^ t
+}
+
+/// The index `I_X = S(t) XOR rotl(S(t−X), X)` from the current sum
+/// `now`, the sum `past = S(t−X)`, and `amount = X mod k`.
+#[inline]
+pub(crate) fn window(now: u64, past: u64, amount: u32, k: u32, mask: u64) -> u64 {
+    // Branchless k-bit rotate: `past` is already masked to k bits, so
+    // at amount == 0 the right shift contributes nothing (shift by k,
+    // forced in-range by `& 63` for k == 64) and the left shift is the
+    // identity — no data-dependent branch on the rotation amount.
+    now ^ (((past << amount) | (past >> ((k - amount) & 63))) & mask)
+}
+
 /// The §4.1 register file folded into a single running register: the
 /// throughput kernel's O(1)-per-retire form of [`IncrementalHashers`].
 ///
@@ -249,9 +269,7 @@ impl RollingHashers {
     pub fn push(&mut self, target: Addr) {
         let t = target.low_bits(self.k);
         self.ring[(self.t & self.ring_mask) as usize] = self.s;
-        // rot1 within k bits; for k = 64 the mask is all-ones and the
-        // shift pair is the native rotate.
-        self.s = (((self.s << 1) | (self.s >> (self.k - 1))) & self.mask) ^ t;
+        self.s = rolled(self.s, t, self.k, self.mask);
         self.t += 1;
     }
 
@@ -266,14 +284,7 @@ impl RollingHashers {
     pub fn index(&self, x: usize) -> u64 {
         assert!(x >= 1 && x <= self.count, "hash number must be in 1..=count, got {x}");
         let past = self.ring[(self.t.wrapping_sub(x as u64) & self.ring_mask) as usize];
-        let amount = self.rots[x] as u32;
-        // Branchless k-bit rotate: `past` is already masked to k bits,
-        // so at amount == 0 the right shift contributes nothing (shift
-        // by k, forced in-range by `& 63` for k == 64) and the left
-        // shift is the identity — no data-dependent branch on the
-        // rotation amount.
-        let rotated = ((past << amount) | (past >> ((self.k - amount) & 63))) & self.mask;
-        self.s ^ rotated
+        window(self.s, past, self.rots[x] as u32, self.k, self.mask)
     }
 
     /// The number of hash functions maintained.

@@ -79,7 +79,7 @@ pub use hash::{hash_path, IncrementalHashers, RollingHashers};
 pub use hfnt::{Hfnt, HfntStats};
 pub use kernel::{CondKernel, IndKernel, KernelState, TargetPlane};
 pub use path::{PathConditional, PathConfig, PathIndirect};
-pub use profile::{ProfileBuilder, ProfileConfig, ProfileReport};
+pub use profile::{Population, ProfileBuilder, ProfileConfig, ProfileReport, Step1Report};
 pub use select::{DynamicSelector, HashAssignment};
 pub use stack::HistoryStack;
 pub use table::{CounterTable, TargetTable};

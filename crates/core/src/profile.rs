@@ -20,17 +20,43 @@
 //! step-1 predictor scored the most correct predictions overall.
 //!
 //! Because step 1 *is* a sweep of every fixed path length over the
-//! profile input, its per-hash totals ([`ProfileReport::step1`]) are also
-//! how the workspace reproduces Table 2 (best fixed length per table
-//! size) and the "tuned" fixed length predictor of Figures 9–10.
+//! profile input, its per-hash totals ([`Step1Report::totals`], copied
+//! into [`ProfileReport::step1`]) are also how the workspace reproduces
+//! Table 2 (best fixed length per table size) and the "tuned" fixed
+//! length predictor of Figures 9–10. [`ProfileBuilder::step1`] and
+//! [`ProfileBuilder::step2`] are public so a caller can run step 1 once
+//! and share its report between both uses.
+//!
+//! Both steps run on flat state:
+//!
+//! * step 1 numbers branches densely in first-seen order behind a
+//!   direct-mapped pc cache, keeps one packed
+//!   [`CounterPlane`]/[`TargetPlane`] per hash number, tallies correct
+//!   predictions in one flat `[hash × branch]` array, and reads every
+//!   hash index from one rolling partial sum
+//!   (`I_X(t) = S(t) XOR rotl(S(t−X), X)`, see
+//!   [`RollingHashers`](crate::RollingHashers)). It buffers the trace in
+//!   fixed-size blocks and walks each block once per hash, so only one
+//!   hash's table is hot at a time and its scratch memory does not grow
+//!   with the trace;
+//! * step 2 drives [`CondKernel`]/[`IndKernel`] and reads each branch's
+//!   misses from their per-branch rows, which the kernels number in the
+//!   same first-seen order.
+//!
+//! The boxed [`PathConditional`](crate::PathConditional) and
+//! [`PathIndirect`](crate::PathIndirect) are not used here; the
+//! differential tests in `tests/prop_core.rs` rebuild the heuristic on
+//! them (and on per-hash [`CounterTable`](crate::CounterTable)s) and
+//! require identical reports.
 
 use std::collections::HashMap;
 
-use vlpp_predict::{BranchObserver, ConditionalPredictor, IndirectPredictor};
-use vlpp_trace::{Addr, BranchKind, Trace};
+use vlpp_predict::CounterPlane;
+use vlpp_trace::{Addr, BranchKind, BranchRecord, Trace};
 
-use crate::hash::IncrementalHashers;
-use crate::path::{PathConditional, PathConfig, PathIndirect};
+use crate::hash::{rolled, window};
+use crate::kernel::{CondKernel, IndKernel, TargetPlane};
+use crate::path::PathConfig;
 use crate::select::HashAssignment;
 
 /// Parameters of the profiling heuristic.
@@ -135,7 +161,7 @@ impl HashStat {
 }
 
 /// The output of profiling: the per-branch assignment plus diagnostics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileReport {
     /// The hash assignment to build the variable length path predictor
     /// with.
@@ -172,6 +198,44 @@ fn best_hash(stats: &[HashStat]) -> u8 {
         .unwrap_or(1)
 }
 
+/// Which branch population a profile run targets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Population {
+    /// Conditional branches, predicted by 2-bit counters.
+    Conditional,
+    /// Indirect branches (returns excluded), predicted by target
+    /// registers.
+    Indirect,
+}
+
+/// The output of step 1: everything step 2 and the Table-2 sweep read
+/// from the fixed-length predictors, without the per-branch tallies.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Step1Report {
+    /// Per-hash totals, one entry per hash number in the configured set.
+    pub totals: Vec<HashStat>,
+    /// Profiled branch pcs in first-seen order.
+    pcs: Vec<u64>,
+    /// Each branch's candidate hash numbers, best first:
+    /// `[branch × per_branch]`.
+    candidates: Vec<u8>,
+    per_branch: usize,
+}
+
+impl Step1Report {
+    /// Number of static branches exercised during profiling.
+    pub fn branches(&self) -> usize {
+        self.pcs.len()
+    }
+
+    /// Each profiled branch with its candidate hash numbers (most
+    /// correct step-1 predictions first, ties toward shorter paths), in
+    /// first-seen order.
+    pub fn candidates(&self) -> impl Iterator<Item = (Addr, &[u8])> + '_ {
+        self.pcs.iter().map(|&pc| Addr::new(pc)).zip(self.candidates.chunks(self.per_branch))
+    }
+}
+
 /// Runs the §3.5 heuristic over profile traces.
 ///
 /// # Example
@@ -192,15 +256,6 @@ fn best_hash(stats: &[HashStat]) -> u8 {
 #[derive(Debug, Clone)]
 pub struct ProfileBuilder {
     config: ProfileConfig,
-}
-
-/// Per-branch step-1 bookkeeping.
-#[derive(Debug, Clone)]
-struct BranchTally {
-    /// Correct predictions per hash-set position.
-    correct: Vec<u32>,
-    /// Dynamic executions of this branch.
-    executed: u32,
 }
 
 impl ProfileBuilder {
@@ -230,180 +285,95 @@ impl ProfileBuilder {
     /// Profiles conditional branches over `trace` and produces the
     /// assignment for a conditional variable length path predictor.
     pub fn profile_conditional(&self, trace: &Trace) -> ProfileReport {
-        let (tallies, step1) = self.step1(trace, Population::Conditional);
-        let default_hash = best_hash(&step1);
-        let candidates = self.pick_candidates(&tallies);
-        let assignment = self.step2(trace, Population::Conditional, &candidates, default_hash);
-        ProfileReport { assignment, default_hash, step1, profiled_branches: tallies.len() }
+        self.profile(trace, Population::Conditional)
     }
 
     /// Profiles indirect branches over `trace` and produces the
     /// assignment for an indirect variable length path predictor.
     pub fn profile_indirect(&self, trace: &Trace) -> ProfileReport {
-        let (tallies, step1) = self.step1(trace, Population::Indirect);
-        let default_hash = best_hash(&step1);
-        let candidates = self.pick_candidates(&tallies);
-        let assignment = self.step2(trace, Population::Indirect, &candidates, default_hash);
-        ProfileReport { assignment, default_hash, step1, profiled_branches: tallies.len() }
+        self.profile(trace, Population::Indirect)
+    }
+
+    /// Runs both steps for `population` over `trace`.
+    fn profile(&self, trace: &Trace, population: Population) -> ProfileReport {
+        self.step2(trace, population, &self.step1(trace, population))
     }
 
     /// Step 1: one private-table fixed-length predictor per hash number,
-    /// all simulated in a single *fused* pass.
-    ///
-    /// This is the hottest loop in the repo (32 predictors × every
-    /// dynamic branch), so instead of 32 separately-allocated
-    /// [`CounterTable`](crate::CounterTable)s /
-    /// [`TargetTable`](crate::TargetTable)s and a per-hash `match` on
-    /// the population, the per-hash state lives in one contiguous
-    /// `[hash × index]` array (hash `hi`'s table occupies
-    /// `hi·2^k .. (hi+1)·2^k`) and the population dispatch is hoisted
-    /// out of the per-record work entirely. Each `(hash, index)` cell
-    /// sees exactly the predict/train sequence the per-table version
-    /// gave it, so the results are bit-identical — a property test
-    /// checks the fused kernel against the per-table reference.
-    fn step1(
-        &self,
-        trace: &Trace,
-        population: Population,
-    ) -> (HashMap<u64, BranchTally>, Vec<HashStat>) {
-        let cfg = &self.config;
-        let k = cfg.path.index_bits;
-        let capacity = cfg.path.thb_capacity;
-        let n_hashes = cfg.hash_set.len();
-        let table_len = 1usize << k;
-        // Register slot of each configured hash number (0-based).
-        let slots: Vec<usize> = cfg.hash_set.iter().map(|&hash| hash as usize - 1).collect();
-
-        let mut hashers = IncrementalHashers::new(capacity, k);
-        let mut tallies: HashMap<u64, BranchTally> = HashMap::new();
-
-        match population {
-            Population::Conditional => {
-                let mut counters = vec![vlpp_predict::Counter2::default(); n_hashes * table_len];
-                for record in trace.iter() {
-                    if record.is_conditional() {
-                        let taken = record.taken();
-                        let tally = tallies.entry(record.pc().raw()).or_insert_with(|| {
-                            BranchTally { correct: vec![0; n_hashes], executed: 0 }
-                        });
-                        tally.executed += 1;
-                        let indices = hashers.indices();
-                        for (hi, &slot) in slots.iter().enumerate() {
-                            let cell = hi * table_len + indices[slot] as usize;
-                            let counter = &mut counters[cell];
-                            if counter.predict_taken() == taken {
-                                tally.correct[hi] += 1;
-                            }
-                            counter.update(taken);
-                        }
-                    }
-                    if record.enters_thb()
-                        || (cfg.path.store_returns && record.kind() == BranchKind::Return)
-                    {
-                        hashers.push(record.target());
-                    }
-                }
-            }
-            Population::Indirect => {
-                let mut targets = vec![0u64; n_hashes * table_len];
-                let mut valid = vec![false; n_hashes * table_len];
-                for record in trace.iter() {
-                    if record.is_indirect() {
-                        let pc = record.pc();
-                        let target = record.target();
-                        let tally = tallies.entry(pc.raw()).or_insert_with(|| BranchTally {
-                            correct: vec![0; n_hashes],
-                            executed: 0,
-                        });
-                        tally.executed += 1;
-                        let indices = hashers.indices();
-                        for (hi, &slot) in slots.iter().enumerate() {
-                            let cell = hi * table_len + indices[slot] as usize;
-                            let prediction =
-                                if valid[cell] { Addr::new(targets[cell]) } else { Addr::NULL };
-                            if prediction == target {
-                                tally.correct[hi] += 1;
-                            }
-                            targets[cell] = target.raw();
-                            valid[cell] = true;
-                        }
-                    }
-                    if record.enters_thb()
-                        || (cfg.path.store_returns && record.kind() == BranchKind::Return)
-                    {
-                        hashers.push(record.target());
-                    }
-                }
-            }
-        }
-
-        // `core.profile.step1_records`: trace records scanned by the
-        // fused step-1 kernel, process-wide (see OBSERVABILITY.md).
+    /// scored per branch. The result depends on the configuration's
+    /// path structure, hash set and candidate count, not on its
+    /// iteration count.
+    pub fn step1(&self, trace: &Trace, population: Population) -> Step1Report {
+        let report = self.scan(trace, population, BLOCK);
+        // `core.profile.step1_records`: trace records scanned by step 1,
+        // process-wide (see OBSERVABILITY.md).
         vlpp_metrics::counter("core.profile.step1_records").add(trace.len() as u64);
+        report
+    }
 
-        // Per-hash totals follow from the tallies: every relevant record
-        // produced one prediction per hash.
-        let executed: u64 = tallies.values().map(|t| t.executed as u64).sum();
-        let mut totals: Vec<HashStat> = cfg
-            .hash_set
-            .iter()
-            .map(|&hash| HashStat { hash, predictions: executed, correct: 0 })
-            .collect();
-        for tally in tallies.values() {
-            for (hi, &correct) in tally.correct.iter().enumerate() {
-                totals[hi].correct += correct as u64;
-            }
+    /// Step 1 in blocks of at most `block` scored records.
+    fn scan(&self, trace: &Trace, population: Population, block: usize) -> Step1Report {
+        match population {
+            Population::Conditional => self.scan_with::<CounterPlane>(trace, block),
+            Population::Indirect => self.scan_with::<TargetPlane>(trace, block),
         }
-        (tallies, totals)
     }
 
-    /// Picks each branch's `candidates` best hash numbers from the step-1
-    /// tallies (most correct predictions; ties toward shorter paths).
-    fn pick_candidates(&self, tallies: &HashMap<u64, BranchTally>) -> HashMap<u64, Vec<u8>> {
-        let cfg = &self.config;
-        tallies
-            .iter()
-            .map(|(&pc, tally)| {
-                let mut order: Vec<usize> = (0..cfg.hash_set.len()).collect();
-                // Most correct first; tie toward earlier (shorter) hash.
-                order.sort_by(|&a, &b| tally.correct[b].cmp(&tally.correct[a]).then(a.cmp(&b)));
-                let picked: Vec<u8> =
-                    order.iter().take(cfg.candidates).map(|&i| cfg.hash_set[i]).collect();
-                (pc, picked)
-            })
-            .collect()
+    fn scan_with<P: Step1Plane>(&self, trace: &Trace, block: usize) -> Step1Report {
+        let mut scan = Step1Scan::<P>::new(&self.config, block);
+        for record in trace.iter() {
+            scan.push(record);
+        }
+        scan.finish()
     }
 
-    /// Step 2: iterated candidate refinement against the shared table.
-    fn step2(
+    /// Step 2: iterated candidate refinement against the shared table,
+    /// starting from `step1` (which must come from this configuration's
+    /// [`step1`](Self::step1) over the same trace and population).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step1` was computed for a different hash set or
+    /// candidate count, or if its branches are not the ones `trace`
+    /// exercises.
+    pub fn step2(
         &self,
         trace: &Trace,
         population: Population,
-        candidates: &HashMap<u64, Vec<u8>>,
-        default_hash: u8,
-    ) -> HashAssignment {
+        step1: &Step1Report,
+    ) -> ProfileReport {
         let cfg = &self.config;
-        // misses[pc][candidate index]: misprediction count from the
+        let hashes: Vec<u8> = step1.totals.iter().map(|s| s.hash).collect();
+        assert_eq!(hashes, cfg.hash_set, "step-1 report is for another hash set");
+        let per = step1.per_branch;
+        assert_eq!(
+            per,
+            cfg.candidates.min(hashes.len()),
+            "step-1 report is for another candidate count"
+        );
+        let default_hash = best_hash(&step1.totals);
+
+        // misses[branch × candidate]: misprediction count from the
         // iteration that tested this candidate; None = never tested, and
         // per the paper "untested candidates will always be chosen first"
         // because they count as zero mispredictions.
-        let mut misses: HashMap<u64, Vec<Option<u64>>> =
-            candidates.iter().map(|(&pc, cands)| (pc, vec![None; cands.len()])).collect();
-
-        let choose = |misses: &HashMap<u64, Vec<Option<u64>>>| -> HashMap<u64, usize> {
-            candidates
-                .keys()
-                .map(|&pc| {
-                    let record = &misses[&pc];
-                    let best = record
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(i, m)| (m.unwrap_or(0), *i))
-                        .map(|(i, _)| i)
-                        .expect("every branch has at least one candidate");
-                    (pc, best)
+        let mut misses: Vec<Option<u64>> = vec![None; step1.candidates.len()];
+        let choose = |misses: &[Option<u64>]| -> Vec<usize> {
+            misses
+                .chunks(per)
+                .map(|tested| {
+                    (0..per)
+                        .min_by_key(|&i| (tested[i].unwrap_or(0), i))
+                        .expect("every branch has at least one candidate")
                 })
                 .collect()
+        };
+        let assign = |chosen: &[usize]| -> HashAssignment {
+            let mut assignment = HashAssignment::fixed(default_hash);
+            for ((pc, candidates), &c) in step1.candidates().zip(chosen) {
+                assignment.assign(pc, candidates[c]);
+            }
+            assignment
         };
 
         // `core.profile.step2_iterations`: refinement simulations run,
@@ -413,78 +383,364 @@ impl ProfileBuilder {
         for _ in 0..cfg.iterations {
             iterations.incr();
             let chosen = choose(&misses);
-            let mut assignment = HashAssignment::fixed(default_hash);
-            for (&pc, &ci) in &chosen {
-                assignment.assign(Addr::new(pc), candidates[&pc][ci]);
-            }
-            let iteration_misses = self.simulate(trace, population, assignment);
-            for (&pc, &ci) in &chosen {
-                let count = iteration_misses.get(&pc).copied().unwrap_or(0);
-                misses.get_mut(&pc).expect("tracked branch")[ci] = Some(count);
+            let counts = self.simulate(trace, population, &assign(&chosen), &step1.pcs);
+            for (branch, (&c, count)) in chosen.iter().zip(counts).enumerate() {
+                misses[branch * per + c] = Some(count);
             }
         }
 
         // Final selection: fewest recorded mispredictions per branch.
-        let chosen = choose(&misses);
-        let mut assignment = HashAssignment::fixed(default_hash);
-        for (&pc, &ci) in &chosen {
-            assignment.assign(Addr::new(pc), candidates[&pc][ci]);
+        ProfileReport {
+            assignment: assign(&choose(&misses)),
+            default_hash,
+            step1: step1.totals.clone(),
+            profiled_branches: step1.branches(),
         }
-        assignment
     }
 
     /// Simulates one variable length path predictor over the profile
-    /// trace, returning per-branch misprediction counts.
+    /// trace on the kernel, returning each branch's misprediction count
+    /// in the order of `pcs`.
     fn simulate(
         &self,
         trace: &Trace,
         population: Population,
-        assignment: HashAssignment,
-    ) -> HashMap<u64, u64> {
-        let mut misses: HashMap<u64, u64> = HashMap::new();
-        match population {
+        assignment: &HashAssignment,
+        pcs: &[u64],
+    ) -> Vec<u64> {
+        let path = &self.config.path;
+        let rows: Vec<(u64, u64, u64)> = match population {
             Population::Conditional => {
-                let mut p = PathConditional::new(self.config.path.clone(), assignment);
+                let mut kernel = CondKernel::new(path, assignment);
                 for record in trace.iter() {
-                    if record.is_conditional() {
-                        let prediction = p.predict(record.pc());
-                        if prediction != record.taken() {
-                            *misses.entry(record.pc().raw()).or_insert(0) += 1;
-                        }
-                        p.train(record.pc(), record.taken());
-                    }
-                    p.observe(record);
+                    kernel.apply(record);
                 }
+                kernel.branch_stats().collect()
             }
             Population::Indirect => {
-                let mut p = PathIndirect::new(self.config.path.clone(), assignment);
+                let mut kernel = IndKernel::new(path, assignment);
                 for record in trace.iter() {
-                    if record.is_indirect() {
-                        let prediction = p.predict(record.pc());
-                        if prediction != record.target() {
-                            *misses.entry(record.pc().raw()).or_insert(0) += 1;
-                        }
-                        p.train(record.pc(), record.target());
-                    }
-                    p.observe(record);
+                    kernel.apply(record);
                 }
+                kernel.branch_stats().collect()
             }
-        }
-        misses
+        };
+        // The kernel numbers its rows in first-seen order over the same
+        // records step 1 numbered, so row i is step-1 branch i.
+        assert_eq!(rows.len(), pcs.len(), "step 2 saw other branches than step 1");
+        rows.iter()
+            .zip(pcs)
+            .map(|(&(pc, _, misses), &want)| {
+                assert_eq!(pc, want, "step 2 numbered branches unlike step 1");
+                misses
+            })
+            .collect()
     }
 }
 
-/// Which branch population a profile run targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Population {
-    Conditional,
-    Indirect,
+/// Relevant records buffered per step-1 block. With the partial sums
+/// (at most `BLOCK` + 33 of them) the buffers take about 400 KiB
+/// whatever the trace length, and fit in L2 next to one hash's table.
+const BLOCK: usize = 1 << 14;
+
+/// Index bits of the step-1 pc cache: 4096 lines.
+const ID_CACHE_BITS: u32 = 12;
+
+/// An empty pc-cache line.
+const NO_ID: u32 = u32::MAX;
+
+/// Dense first-seen branch ids behind a direct-mapped, exact-tag pc
+/// cache: in steady state a record costs no hash-map probe.
+#[derive(Debug)]
+struct BranchIds {
+    lines: Box<[(u64, u32)]>,
+    ids: HashMap<u64, u32>,
+    pcs: Vec<u64>,
+}
+
+impl BranchIds {
+    fn new() -> Self {
+        BranchIds {
+            lines: vec![(0, NO_ID); 1 << ID_CACHE_BITS].into_boxed_slice(),
+            ids: HashMap::new(),
+            pcs: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn id(&mut self, pc: Addr) -> u32 {
+        let line = (pc.word() as usize) & ((1 << ID_CACHE_BITS) - 1);
+        let (tag, id) = self.lines[line];
+        if (tag == pc.raw()) & (id != NO_ID) {
+            return id;
+        }
+        self.miss(pc.raw(), line)
+    }
+
+    #[cold]
+    fn miss(&mut self, pc: u64, line: usize) -> u32 {
+        let next = self.pcs.len() as u32;
+        let id = *self.ids.entry(pc).or_insert(next);
+        if id == next {
+            self.pcs.push(pc);
+        }
+        self.lines[line] = (pc, id);
+        id
+    }
+}
+
+/// The step-1 scan: record-order buffering into blocks, hash-major
+/// scoring of each full block.
+#[derive(Debug)]
+struct Step1Scan<'a, P> {
+    config: &'a ProfileConfig,
+    /// The private tables, one per configured hash number.
+    planes: Vec<P>,
+    /// Correct predictions, `[hash × stride]`; `stride` ≥ branch count.
+    tallies: Vec<u32>,
+    stride: usize,
+    ids: BranchIds,
+    block: Block,
+    /// Scratch: the current hash's table indices.
+    indices: Vec<u32>,
+    /// Relevant records scored so far.
+    events: u64,
+}
+
+/// One buffered block of the trace.
+#[derive(Debug)]
+struct Block {
+    k: u32,
+    mask: u64,
+    /// The longest configured hash: how many past sums a block keeps.
+    depth: usize,
+    /// Scored records (and new partial sums) per block.
+    capacity: usize,
+    /// Partial sums `S`: the last `depth + 1` of the previous block,
+    /// then one per THB insertion in this block. The last is `S(now)`.
+    sums: Vec<u32>,
+    /// Per buffered record: the position of its `S(t)` in `sums`,
+    /// less `depth`.
+    at: Vec<u32>,
+    /// Per buffered record: its dense branch id.
+    branch: Vec<u32>,
+    /// Per buffered record: the outcome (taken as 0/1, or the target).
+    outcome: Vec<u64>,
+}
+
+impl Block {
+    /// Scores every buffered record against one hash's table. The
+    /// indices are computed first, in one pass over the sums: for a
+    /// dense block (most positions hold a scored record, as in the
+    /// conditional population) one sequential pass over every
+    /// position, looked up by position — about twice as fast as
+    /// indexing record by record; for a sparse block (the indirect
+    /// population) one index per record. Both give the same indices.
+    #[inline]
+    fn score<P: Step1Plane>(
+        &self,
+        hash: usize,
+        plane: &mut P,
+        tally: &mut [u32],
+        indices: &mut Vec<u32>,
+    ) {
+        let (sums, depth, k, mask) = (&self.sums, self.depth, self.k, self.mask);
+        let amount = hash as u32 % k;
+        indices.clear();
+        if 2 * self.at.len() < sums.len() - depth {
+            indices.extend(self.at.iter().map(|&at| {
+                let now = at as usize + depth;
+                window(sums[now] as u64, sums[now - hash] as u64, amount, k, mask) as u32
+            }));
+            for ((&index, &branch), &outcome) in indices.iter().zip(&self.branch).zip(&self.outcome)
+            {
+                tally[branch as usize] += plane.score(index as usize, outcome) as u32;
+            }
+        } else {
+            // `window` in 32-bit lanes (k ≤ 32).
+            let (back, mask) = ((k - amount) & 31, mask as u32);
+            indices.resize(sums.len() - depth, 0);
+            for ((index, &now), &past) in
+                indices.iter_mut().zip(&sums[depth..]).zip(&sums[depth - hash..])
+            {
+                *index = now ^ (((past << amount) | (past >> back)) & mask);
+            }
+            for ((&at, &branch), &outcome) in self.at.iter().zip(&self.branch).zip(&self.outcome) {
+                let index = indices[at as usize] as usize;
+                tally[branch as usize] += plane.score(index, outcome) as u32;
+            }
+        }
+    }
+}
+
+/// A private step-1 table, and the population it predicts.
+trait Step1Plane: Sized {
+    /// A never-trained table of `len` entries.
+    fn with_len(len: usize) -> Self;
+
+    /// The outcome `record` is scored on — taken as 0/1, or the target —
+    /// or `None` if it is not in this table's population.
+    fn outcome(record: &BranchRecord) -> Option<u64>;
+
+    /// Predicts with entry `i`, trains it with `outcome`, and says
+    /// whether the prediction was correct.
+    fn score(&mut self, i: usize, outcome: u64) -> bool;
+}
+
+impl Step1Plane for CounterPlane {
+    fn with_len(len: usize) -> Self {
+        CounterPlane::new(len)
+    }
+
+    #[inline]
+    fn outcome(record: &BranchRecord) -> Option<u64> {
+        record.is_conditional().then(|| record.taken() as u64)
+    }
+
+    #[inline]
+    fn score(&mut self, i: usize, taken: u64) -> bool {
+        let taken = taken != 0;
+        self.predict_update(i, taken) == taken
+    }
+}
+
+impl Step1Plane for TargetPlane {
+    fn with_len(len: usize) -> Self {
+        TargetPlane::new(len)
+    }
+
+    #[inline]
+    fn outcome(record: &BranchRecord) -> Option<u64> {
+        record.is_indirect().then(|| record.target().raw())
+    }
+
+    #[inline]
+    fn score(&mut self, i: usize, target: u64) -> bool {
+        let target = Addr::new(target);
+        self.predict_train(i, Addr::NULL, target) == target
+    }
+}
+
+impl<'a, P: Step1Plane> Step1Scan<'a, P> {
+    fn new(config: &'a ProfileConfig, capacity: usize) -> Self {
+        let k = config.path.index_bits;
+        assert!((1..=32).contains(&k), "step 1 indexes tables of at most 2^32 entries");
+        let depth = *config.hash_set.last().expect("hash set is non-empty") as usize;
+        Step1Scan {
+            config,
+            planes: config.hash_set.iter().map(|_| P::with_len(1 << k)).collect(),
+            tallies: Vec::new(),
+            stride: 0,
+            ids: BranchIds::new(),
+            block: Block {
+                k,
+                mask: (1u64 << k) - 1,
+                depth,
+                capacity,
+                sums: vec![0; depth + 1],
+                at: Vec::with_capacity(capacity),
+                branch: Vec::with_capacity(capacity),
+                outcome: Vec::with_capacity(capacity),
+            },
+            indices: Vec::new(),
+            events: 0,
+        }
+    }
+
+    /// Buffers one record: a relevant record is scored against the
+    /// history *before* its own target enters the THB.
+    #[inline]
+    fn push(&mut self, record: &BranchRecord) {
+        let block = &mut self.block;
+        if let Some(outcome) = P::outcome(record) {
+            block.at.push((block.sums.len() - 1 - block.depth) as u32);
+            block.branch.push(self.ids.id(record.pc()));
+            block.outcome.push(outcome);
+        }
+        if record.enters_thb()
+            || (self.config.path.store_returns && record.kind() == BranchKind::Return)
+        {
+            let now = *block.sums.last().expect("sums keep depth + 1 entries") as u64;
+            let target = record.target().low_bits(block.k);
+            block.sums.push(rolled(now, target, block.k, block.mask) as u32);
+        }
+        if block.at.len() == block.capacity || block.sums.len() > block.capacity + block.depth {
+            self.flush();
+        }
+    }
+
+    /// Scores the buffered block and keeps the sums the next block's
+    /// first records look back on.
+    fn flush(&mut self) {
+        let branches = self.ids.pcs.len();
+        if branches > self.stride {
+            let stride = branches.next_power_of_two();
+            let mut grown = vec![0; self.config.hash_set.len() * stride];
+            if self.stride > 0 {
+                for (to, from) in grown.chunks_mut(stride).zip(self.tallies.chunks(self.stride)) {
+                    to[..self.stride].copy_from_slice(from);
+                }
+            }
+            self.tallies = grown;
+            self.stride = stride;
+        }
+        let block = &mut self.block;
+        if !block.at.is_empty() {
+            // One hash at a time, so only that hash's table is hot.
+            let rows = self.tallies.chunks_mut(self.stride);
+            for ((&hash, plane), tally) in
+                self.config.hash_set.iter().zip(&mut self.planes).zip(rows)
+            {
+                block.score(hash as usize, plane, tally, &mut self.indices);
+            }
+        }
+        self.events += block.at.len() as u64;
+        block.at.clear();
+        block.branch.clear();
+        block.outcome.clear();
+        let stale = block.sums.len() - (block.depth + 1);
+        block.sums.drain(..stale);
+    }
+
+    /// Scores the last block, then totals the tallies and picks each
+    /// branch's candidates.
+    fn finish(mut self) -> Step1Report {
+        self.flush();
+        let hash_set = &self.config.hash_set;
+        let per_branch = self.config.candidates.min(hash_set.len());
+        let branches = self.ids.pcs.len();
+        // Every relevant record made one prediction per hash.
+        let totals: Vec<HashStat> = hash_set
+            .iter()
+            .enumerate()
+            .map(|(hi, &hash)| HashStat {
+                hash,
+                predictions: self.events,
+                correct: self.tallies[hi * self.stride..][..branches]
+                    .iter()
+                    .map(|&c| c as u64)
+                    .sum(),
+            })
+            .collect();
+        let mut candidates = Vec::with_capacity(branches * per_branch);
+        let mut order: Vec<usize> = Vec::with_capacity(hash_set.len());
+        for branch in 0..branches {
+            let correct = |hi: usize| self.tallies[hi * self.stride + branch];
+            order.clear();
+            order.extend(0..hash_set.len());
+            // Most correct first; tie toward earlier (shorter) hash.
+            order.sort_by(|&a, &b| correct(b).cmp(&correct(a)).then(a.cmp(&b)));
+            candidates.extend(order[..per_branch].iter().map(|&hi| hash_set[hi]));
+        }
+        Step1Report { totals, pcs: self.ids.pcs, candidates, per_branch }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vlpp_trace::BranchRecord;
+    use crate::path::PathConditional;
+    use vlpp_predict::{BranchObserver, ConditionalPredictor};
 
     /// A workload with two conditional branches: one determined by the
     /// immediately preceding target (needs length 1) and one determined
@@ -686,12 +942,36 @@ mod tests {
     }
 
     #[test]
+    fn step1_does_not_depend_on_the_block_size() {
+        // Mixed kinds so the indirect population runs sparse blocks and
+        // the conditional one dense blocks; sizes that split the trace
+        // at every possible offset.
+        let mut trace = two_needs_trace(300, 3);
+        for i in 0..400u64 {
+            trace.push(BranchRecord::indirect(
+                Addr::new(0x500 + (i % 3) * 4),
+                Addr::new(0x9000 + (i % 5) * 64),
+            ));
+            trace.push(BranchRecord::call(Addr::new(0x600), Addr::new(0x7000 + (i % 7) * 4)));
+        }
+        for population in [Population::Conditional, Population::Indirect] {
+            for cfg in [config(), config().with_hash_set(vec![2, 5, 6]).with_candidates(4)] {
+                let builder = ProfileBuilder::new(cfg);
+                let whole = builder.scan(&trace, population, trace.len() + 1);
+                for block in [1, 2, 3, 7, 64, 1000] {
+                    assert_eq!(builder.scan(&trace, population, block), whole, "block {block}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn candidate_count_is_respected() {
         let trace = two_needs_trace(300, 21);
         let cfg = config().with_candidates(1).with_iterations(2);
         let builder = ProfileBuilder::new(cfg);
-        let (tallies, _) = builder.step1(&trace, Population::Conditional);
-        let candidates = builder.pick_candidates(&tallies);
-        assert!(candidates.values().all(|c| c.len() == 1));
+        let step1 = builder.step1(&trace, Population::Conditional);
+        assert_eq!(step1.branches(), 4);
+        assert!(step1.candidates().all(|(_, c)| c.len() == 1));
     }
 }

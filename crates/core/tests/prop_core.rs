@@ -2,12 +2,13 @@
 
 use std::collections::HashMap;
 
-use vlpp_check::{check, prop_assert, prop_assert_eq, CheckConfig};
+use vlpp_check::{check, prop_assert, prop_assert_eq, CheckConfig, Gen};
+use vlpp_core::profile::HashStat;
 use vlpp_core::{
     hash_path, CounterTable, HashAssignment, IncrementalHashers, PathConditional, PathConfig,
-    ProfileBuilder, ProfileConfig, TargetTable, Thb,
+    PathIndirect, Population, ProfileBuilder, ProfileConfig, TargetTable, Thb,
 };
-use vlpp_predict::{BranchObserver, ConditionalPredictor};
+use vlpp_predict::{BranchObserver, ConditionalPredictor, IndirectPredictor};
 use vlpp_trace::{Addr, BranchKind, BranchRecord, Trace};
 
 /// The §4.1 partial-sum registers compute exactly the §3.3 hashes, for
@@ -145,86 +146,276 @@ fn profiling_respects_hash_set() {
     });
 }
 
-/// The fused step-1 kernel (one contiguous `[hash × index]` array, the
-/// population dispatch hoisted out of the trace loop) produces exactly
-/// the per-hash totals of the straightforward implementation it
-/// replaced: one separately-allocated [`CounterTable`]/[`TargetTable`]
-/// per configured hash number.
+/// Step 1 (packed per-hash planes, dense branch ids, rolling partial
+/// sums, blocked hash-major scoring) produces exactly the per-hash
+/// totals and per-branch candidates of the straightforward
+/// implementation: one separately-allocated [`CounterTable`] /
+/// [`TargetTable`] per configured hash number, driven record by record
+/// through [`IncrementalHashers`].
 #[test]
 fn fused_step1_matches_per_table_reference() {
     check("fused_step1_matches_per_table_reference", CheckConfig::default(), |g| {
         let trace = random_trace(g.u64(), 500);
         let mut path = PathConfig::new(g.range_u32(2, 10));
         path.thb_capacity = g.range_usize(1, 16);
-        // A random non-empty strictly-increasing subset of the valid
-        // hash numbers 1..=thb_capacity.
-        let mut hash_set: Vec<u8> =
-            (1..=path.thb_capacity as u8).filter(|_| g.below(2) == 0).collect();
-        if hash_set.is_empty() {
-            hash_set.push(g.range_u8(1, path.thb_capacity as u8));
-        }
-        let config =
-            ProfileConfig::new(path.clone()).with_hash_set(hash_set.clone()).with_iterations(0);
-
-        let cond = ProfileBuilder::new(config.clone()).profile_conditional(&trace);
-        let cond_ref = reference_step1(&path, &hash_set, &trace, true);
-        let ind = ProfileBuilder::new(config).profile_indirect(&trace);
-        let ind_ref = reference_step1(&path, &hash_set, &trace, false);
-        for (report, reference) in [(&cond, &cond_ref), (&ind, &ind_ref)] {
-            prop_assert_eq!(report.step1.len(), reference.len());
-            for (got, want) in report.step1.iter().zip(reference.iter()) {
-                prop_assert_eq!(got.hash, want.0, "hash number order");
-                prop_assert_eq!(got.predictions, want.1, "predictions for hash {}", want.0);
-                prop_assert_eq!(got.correct, want.2, "correct for hash {}", want.0);
+        let hash_set = sparse_hash_set(g, path.thb_capacity);
+        let config = ProfileConfig::new(path.clone())
+            .with_hash_set(hash_set.clone())
+            .with_candidates(g.range_usize(1, 4));
+        let builder = ProfileBuilder::new(config.clone());
+        for (population, conditional) in
+            [(Population::Conditional, true), (Population::Indirect, false)]
+        {
+            let report = builder.step1(&trace, population);
+            let (reference, tallies) = reference_step1(&path, &hash_set, &trace, conditional);
+            prop_assert_eq!(report.totals.len(), reference.len());
+            for (got, want) in report.totals.iter().zip(reference.iter()) {
+                prop_assert_eq!(got.hash, want.hash, "hash number order");
+                prop_assert_eq!(
+                    got.predictions,
+                    want.predictions,
+                    "predictions for hash {}",
+                    want.hash
+                );
+                prop_assert_eq!(got.correct, want.correct, "correct for hash {}", want.hash);
+            }
+            let want = reference_candidates(&config, &tallies);
+            prop_assert_eq!(report.branches(), want.len());
+            for (pc, candidates) in report.candidates() {
+                prop_assert_eq!(Some(&candidates.to_vec()), want.get(&pc.raw()), "branch {}", pc);
             }
         }
         Ok(())
     });
 }
 
+/// The whole heuristic — step 1 plus step 2 on the kernels — produces
+/// exactly the report of the reference heuristic built on the boxed
+/// predictors: same assignment, default hash, step-1 totals and branch
+/// count, over random structures, hash sets, candidate and iteration
+/// counts, recording policies and history stacks, for both
+/// populations.
+#[test]
+fn profile_builder_matches_boxed_reference() {
+    check("profile_builder_matches_boxed_reference", CheckConfig::default(), |g| {
+        // One case in eight runs long enough to cross step-1 block
+        // boundaries.
+        let length = if g.below(8) == 0 { 40_000 } else { g.range_usize(0, 800) };
+        let trace = call_return_trace(g.u64(), length);
+        let mut path = PathConfig::new(g.range_u32(4, 16));
+        path.thb_capacity = g.range_usize(1, 32);
+        path.store_returns = g.bool();
+        if g.bool() {
+            path = path.with_history_stack(g.range_usize(1, 8));
+        }
+        let hash_set = sparse_hash_set(g, path.thb_capacity);
+        let config = ProfileConfig::new(path)
+            .with_hash_set(hash_set)
+            .with_candidates(g.range_usize(1, 4))
+            .with_iterations(g.range_usize(0, 7));
+        let builder = ProfileBuilder::new(config.clone());
+        for (conditional, report) in
+            [(true, builder.profile_conditional(&trace)), (false, builder.profile_indirect(&trace))]
+        {
+            let reference = reference_profile(&config, &trace, conditional);
+            prop_assert_eq!(
+                report.assignment,
+                reference.assignment,
+                "conditional: {}",
+                conditional
+            );
+            prop_assert_eq!(report.default_hash, reference.default_hash);
+            prop_assert_eq!(report.step1, reference.step1);
+            prop_assert_eq!(report.profiled_branches, reference.profiled_branches);
+        }
+        Ok(())
+    });
+}
+
+/// A random non-empty strictly-increasing subset of `1..=capacity`.
+fn sparse_hash_set(g: &mut Gen, capacity: usize) -> Vec<u8> {
+    let mut hash_set: Vec<u8> = (1..=capacity as u8).filter(|_| g.below(2) == 0).collect();
+    if hash_set.is_empty() {
+        hash_set.push(g.range_u8(1, capacity as u8));
+    }
+    hash_set
+}
+
+/// The §3.5 heuristic as a straightforward reference: per-table step 1
+/// ([`reference_step1`]), candidates by sorting each branch's tallies,
+/// and step 2 on the boxed [`PathConditional`] / [`PathIndirect`] with
+/// per-branch miss maps.
+struct ReferenceProfile {
+    assignment: HashAssignment,
+    default_hash: u8,
+    step1: Vec<HashStat>,
+    profiled_branches: usize,
+}
+
+fn reference_profile(config: &ProfileConfig, trace: &Trace, conditional: bool) -> ReferenceProfile {
+    let (step1, tallies) = reference_step1(&config.path, &config.hash_set, trace, conditional);
+    // Lowest miss rate; ties toward the shorter path.
+    let default_hash = step1
+        .iter()
+        .min_by(|a, b| a.miss_rate().partial_cmp(&b.miss_rate()).unwrap().then(a.hash.cmp(&b.hash)))
+        .map(|s| s.hash)
+        .unwrap();
+    let candidates = reference_candidates(config, &tallies);
+
+    // misses[pc][candidate]: None = never tested, chosen first.
+    let mut misses: HashMap<u64, Vec<Option<u64>>> =
+        candidates.iter().map(|(&pc, c)| (pc, vec![None; c.len()])).collect();
+    let choose = |misses: &HashMap<u64, Vec<Option<u64>>>| -> HashMap<u64, usize> {
+        misses
+            .iter()
+            .map(|(&pc, tested)| {
+                let best = (0..tested.len()).min_by_key(|&i| (tested[i].unwrap_or(0), i)).unwrap();
+                (pc, best)
+            })
+            .collect()
+    };
+    let assign = |chosen: &HashMap<u64, usize>| -> HashAssignment {
+        let mut assignment = HashAssignment::fixed(default_hash);
+        for (&pc, &c) in chosen {
+            assignment.assign(Addr::new(pc), candidates[&pc][c]);
+        }
+        assignment
+    };
+    for _ in 0..config.iterations {
+        let chosen = choose(&misses);
+        let counts = boxed_misses(&config.path, assign(&chosen), trace, conditional);
+        for (&pc, &c) in &chosen {
+            misses.get_mut(&pc).unwrap()[c] = Some(counts.get(&pc).copied().unwrap_or(0));
+        }
+    }
+    ReferenceProfile {
+        assignment: assign(&choose(&misses)),
+        default_hash,
+        step1,
+        profiled_branches: tallies.len(),
+    }
+}
+
+/// Per-branch misprediction counts of the boxed predictor over `trace`.
+fn boxed_misses(
+    path: &PathConfig,
+    assignment: HashAssignment,
+    trace: &Trace,
+    conditional: bool,
+) -> HashMap<u64, u64> {
+    let mut misses: HashMap<u64, u64> = HashMap::new();
+    let mut cond = PathConditional::new(path.clone(), assignment.clone());
+    let mut ind = PathIndirect::new(path.clone(), assignment);
+    for record in trace.iter() {
+        if conditional && record.is_conditional() {
+            if cond.predict(record.pc()) != record.taken() {
+                *misses.entry(record.pc().raw()).or_insert(0) += 1;
+            }
+            cond.train(record.pc(), record.taken());
+        } else if !conditional && record.is_indirect() {
+            if ind.predict(record.pc()) != record.target() {
+                *misses.entry(record.pc().raw()).or_insert(0) += 1;
+            }
+            ind.train(record.pc(), record.target());
+        }
+        if conditional {
+            cond.observe(record);
+        } else {
+            ind.observe(record);
+        }
+    }
+    misses
+}
+
+/// Each branch's `candidates` best hash numbers from per-branch tallies
+/// (most correct first; ties toward shorter paths).
+fn reference_candidates(
+    config: &ProfileConfig,
+    tallies: &HashMap<u64, Vec<u64>>,
+) -> HashMap<u64, Vec<u8>> {
+    tallies
+        .iter()
+        .map(|(&pc, correct)| {
+            let mut order: Vec<usize> = (0..correct.len()).collect();
+            order.sort_by(|&a, &b| correct[b].cmp(&correct[a]).then(a.cmp(&b)));
+            (pc, order.iter().take(config.candidates).map(|&i| config.hash_set[i]).collect())
+        })
+        .collect()
+}
+
 /// The pre-fusion step-1 implementation, reconstructed from the public
 /// per-table API: one private [`CounterTable`] (conditional) or
 /// [`TargetTable`] (indirect) per hash number, each predicting and
 /// training at its own hash index on every relevant record. Returns
-/// `(hash, predictions, correct)` per configured hash number.
+/// the per-hash totals and each branch's correct count per hash.
 fn reference_step1(
     path: &PathConfig,
     hash_set: &[u8],
     trace: &Trace,
     conditional: bool,
-) -> Vec<(u8, u64, u64)> {
+) -> (Vec<HashStat>, HashMap<u64, Vec<u64>>) {
     let mut hashers = IncrementalHashers::new(path.thb_capacity, path.index_bits);
     let mut counters: Vec<CounterTable> =
         hash_set.iter().map(|_| CounterTable::new(path.index_bits)).collect();
     let mut targets: Vec<TargetTable> =
         hash_set.iter().map(|_| TargetTable::new(path.index_bits)).collect();
-    let mut stats: Vec<(u8, u64, u64)> = hash_set.iter().map(|&h| (h, 0, 0)).collect();
+    let mut stats: Vec<HashStat> =
+        hash_set.iter().map(|&hash| HashStat { hash, predictions: 0, correct: 0 }).collect();
+    let mut tallies: HashMap<u64, Vec<u64>> = HashMap::new();
     for record in trace.iter() {
-        if conditional && record.is_conditional() {
-            let taken = record.taken();
+        let relevant = if conditional { record.is_conditional() } else { record.is_indirect() };
+        if relevant {
+            let tally = tallies.entry(record.pc().raw()).or_insert_with(|| vec![0; hash_set.len()]);
             for (hi, &hash) in hash_set.iter().enumerate() {
                 let index = hashers.index(hash as usize);
-                stats[hi].1 += 1;
-                if counters[hi].predict(index) == taken {
-                    stats[hi].2 += 1;
-                }
-                counters[hi].train(index, taken);
-            }
-        } else if !conditional && record.is_indirect() {
-            for (hi, &hash) in hash_set.iter().enumerate() {
-                let index = hashers.index(hash as usize);
-                stats[hi].1 += 1;
-                if targets[hi].predict(index, record.pc()) == record.target() {
-                    stats[hi].2 += 1;
-                }
-                targets[hi].train(index, record.target());
+                let correct = if conditional {
+                    let correct = counters[hi].predict(index) == record.taken();
+                    counters[hi].train(index, record.taken());
+                    correct
+                } else {
+                    let correct = targets[hi].predict(index, record.pc()) == record.target();
+                    targets[hi].train(index, record.target());
+                    correct
+                };
+                stats[hi].predictions += 1;
+                stats[hi].correct += correct as u64;
+                tally[hi] += correct as u64;
             }
         }
         if record.enters_thb() || (path.store_returns && record.kind() == BranchKind::Return) {
             hashers.push(record.target());
         }
     }
-    stats
+    (stats, tallies)
+}
+
+/// A deterministic pseudo-random trace with nested calls and returns
+/// (so the recording policy and the history stack matter) around
+/// conditional, indirect and unconditional branches.
+fn call_return_trace(seed: u64, n: usize) -> Trace {
+    let mut x = seed | 1;
+    let mut trace = Trace::new();
+    let mut depth = 0usize;
+    for _ in 0..n {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let pc = Addr::new(((x >> 8) & 0x7f) << 2 | 0x1000);
+        let target = Addr::new(((x >> 16) & 0xff) << 2 | 0x2000);
+        match (x >> 40) % 10 {
+            0..=5 => trace.push(BranchRecord::conditional(pc, target, (x >> 3) & 1 == 0)),
+            6 => trace.push(BranchRecord::indirect(pc, target)),
+            7 => trace.push(BranchRecord::unconditional(pc, target)),
+            8 if depth < 12 => {
+                depth += 1;
+                trace.push(BranchRecord::call(pc, target));
+            }
+            _ if depth > 0 => {
+                depth -= 1;
+                trace.push(BranchRecord::ret(pc, target));
+            }
+            _ => trace.push(BranchRecord::conditional(pc, target, true)),
+        }
+    }
+    trace
 }
 
 /// A deterministic pseudo-random mixed trace.

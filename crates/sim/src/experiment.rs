@@ -1,6 +1,6 @@
 //! Experiment context: workload scaling, trace construction, and cached
-//! cross-benchmark artifacts (traces, profile reports, best fixed
-//! lengths).
+//! cross-benchmark artifacts (traces, §3.5 step-1 reports, profile
+//! reports, best fixed lengths).
 //!
 //! All caches are [`Memo`]s — compute-once-per-key and safe under the
 //! worker pool: two experiments that race on the same benchmark share
@@ -8,7 +8,9 @@
 
 use std::sync::Arc;
 
-use vlpp_core::{PathConfig, ProfileBuilder, ProfileConfig, ProfileReport};
+use vlpp_core::{
+    PathConfig, Population, ProfileBuilder, ProfileConfig, ProfileReport, Step1Report,
+};
 use vlpp_pool::{Memo, Pool};
 use vlpp_synth::{suite, BenchmarkSpec, InputSet};
 use vlpp_trace::Trace;
@@ -96,11 +98,24 @@ pub enum Kind {
     Indirect,
 }
 
+impl Kind {
+    fn population(self) -> Population {
+        match self {
+            Kind::Conditional => Population::Conditional,
+            Kind::Indirect => Population::Indirect,
+        }
+    }
+}
+
 /// The experiment context: memoizes every expensive artifact — the
 /// multi-million-branch traces themselves (Arc-shared, built once per
-/// `(benchmark, input set)` instead of once per experiment), the
-/// per-benchmark profile reports, and the cross-benchmark best fixed
-/// path lengths of Table 2.
+/// `(benchmark, input set)` instead of once per experiment), the §3.5
+/// step-1 reports, the per-benchmark profile reports, and the
+/// cross-benchmark best fixed path lengths of Table 2.
+///
+/// Step 1 is shared: the Table-2 sweep and the profile reports both
+/// read one step-1 report per `(benchmark, kind, index bits)`, so it
+/// runs once per key whichever asks first.
 ///
 /// Every cache is compute-once-per-key: concurrent experiments that
 /// miss on the same key block on one computation and share its result.
@@ -108,18 +123,21 @@ pub enum Kind {
 pub struct Workloads {
     scale: Scale,
     traces: Memo<(String, InputSet), Trace>,
+    step1: Memo<(String, Kind, u32), Step1Report>,
     profiles: Memo<(String, Kind, u32), ProfileReport>,
     fixed_lengths: Memo<(Kind, u32), u8>,
 }
 
 impl Workloads {
     /// Creates a context at the given scale. The caches report their
-    /// hit/miss counts as `pool.memo.{traces,profiles,fixed_lengths}.*`
-    /// (see `OBSERVABILITY.md`).
+    /// hit/miss counts as
+    /// `pool.memo.{traces,step1,profiles,fixed_lengths}.*` (see
+    /// `OBSERVABILITY.md`).
     pub fn new(scale: Scale) -> Self {
         Workloads {
             scale,
             traces: Memo::named("traces"),
+            step1: Memo::named("step1"),
             profiles: Memo::named("profiles"),
             fixed_lengths: Memo::named("fixed_lengths"),
         }
@@ -163,12 +181,20 @@ impl Workloads {
     fn profile(&self, spec: &BenchmarkSpec, kind: Kind, index_bits: u32) -> Arc<ProfileReport> {
         self.profiles.get_or_compute((spec.name.clone(), kind, index_bits), || {
             let _span = vlpp_metrics::span("sim.profile_ns");
+            let step1 = self.step1(spec, kind, index_bits);
             let trace = self.profile_trace(spec);
-            let builder = ProfileBuilder::new(ProfileConfig::new(PathConfig::new(index_bits)));
-            match kind {
-                Kind::Conditional => builder.profile_conditional(&trace),
-                Kind::Indirect => builder.profile_indirect(&trace),
-            }
+            profile_builder(index_bits).step2(&trace, kind.population(), &step1)
+        })
+    }
+
+    /// The §3.5 step-1 report (the fixed-length sweep) for a benchmark's
+    /// profile input. Memoized: the Table-2 sweep and the profile
+    /// reports share it.
+    fn step1(&self, spec: &BenchmarkSpec, kind: Kind, index_bits: u32) -> Arc<Step1Report> {
+        self.step1.get_or_compute((spec.name.clone(), kind, index_bits), || {
+            let trace = self.profile_trace(spec);
+            let _span = vlpp_metrics::span("sim.step1_ns");
+            profile_builder(index_bits).step1(&trace, kind.population())
         })
     }
 
@@ -193,25 +219,18 @@ impl Workloads {
             let _span = vlpp_metrics::span("sim.fixed_length_sweep_ns");
             // Average the per-length miss rates over all 16 benchmarks.
             // Step 1 of the profiling heuristic *is* a sweep of every
-            // fixed length, so one iteration-free profile per benchmark
+            // fixed length, so each benchmark's (shared) step-1 report
             // suffices — and the benchmarks are independent, so they run
             // on the shared worker pool.
-            let reports = Pool::global().map(suite::all_benchmarks(), |spec| {
-                let trace = self.profile_trace(&spec);
-                let config = ProfileConfig::new(PathConfig::new(index_bits)).with_iterations(0);
-                let builder = ProfileBuilder::new(config);
-                match kind {
-                    Kind::Conditional => builder.profile_conditional(&trace),
-                    Kind::Indirect => builder.profile_indirect(&trace),
-                }
-            });
+            let reports = Pool::global()
+                .map(suite::all_benchmarks(), |spec| self.step1(&spec, kind, index_bits));
             let mut sums = [0.0f64; vlpp_core::MAX_PATH_LENGTH];
             let mut lengths: Vec<u8> = Vec::new();
             for report in &reports {
                 if lengths.is_empty() {
-                    lengths = report.step1.iter().map(|s| s.hash).collect();
+                    lengths = report.totals.iter().map(|s| s.hash).collect();
                 }
-                for (i, stat) in report.step1.iter().enumerate() {
+                for (i, stat) in report.totals.iter().enumerate() {
                     sums[i] += stat.miss_rate();
                 }
             }
@@ -221,6 +240,12 @@ impl Workloads {
             lengths[best_index]
         })
     }
+}
+
+/// The builder every memoized artifact uses: the paper's configuration
+/// at `index_bits`.
+fn profile_builder(index_bits: u32) -> ProfileBuilder {
+    ProfileBuilder::new(ProfileConfig::new(PathConfig::new(index_bits)))
 }
 
 #[cfg(test)]
@@ -259,5 +284,26 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let c = w.profile_conditional(&spec, 12);
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn step1_is_shared_and_order_independent() {
+        // Profile then sweep, or sweep then profile: the same report and
+        // length, and one step-1 run per benchmark either way (the
+        // profile's key is one of the sweep's).
+        let spec = suite::benchmark("compress").unwrap();
+        let profile_first = Workloads::new(Scale::new(1_000_000));
+        let report_a = profile_first.profile_conditional(&spec, 10);
+        let length_a = profile_first.best_fixed_conditional_length(10);
+        let sweep_first = Workloads::new(Scale::new(1_000_000));
+        let length_b = sweep_first.best_fixed_conditional_length(10);
+        let report_b = sweep_first.profile_conditional(&spec, 10);
+        assert_eq!(report_a, report_b);
+        assert_eq!(length_a, length_b);
+        for w in [&profile_first, &sweep_first] {
+            assert_eq!(w.step1.len(), suite::all_benchmarks().len());
+            let shared = w.step1.get(&("compress".to_string(), Kind::Conditional, 10));
+            assert_eq!(shared.expect("profiled key").totals, report_a.step1);
+        }
     }
 }

@@ -70,10 +70,19 @@ fn metrics_snapshot_reports_every_layer() {
     let counter = |name: &str| {
         snapshot.get(name).and_then(|v| v.as_u64()).unwrap_or_else(|| panic!("counter `{name}`"))
     };
-    // Core layer: the fused step-1 kernel scanned records and step 2 ran
-    // refinement iterations.
+    // Core layer: step 1 scanned records and step 2 ran refinement
+    // iterations.
     assert!(counter("core.profile.step1_records") > 0);
     assert!(counter("core.profile.step2_iterations") > 0);
+
+    // Step 1 is shared between the Table-2 sweep and the profiles: 183
+    // step-1 reads, one run per distinct (benchmark, kind, index bits).
+    let step1_reads = counter("pool.memo.step1.hits") + counter("pool.memo.step1.misses");
+    assert_eq!(step1_reads, 183);
+    assert_eq!(counter("pool.memo.step1.evicted"), 0);
+    let step1_runs =
+        snapshot.get("sim.step1_ns").and_then(|s| s.get("count")).and_then(|c| c.as_u64());
+    assert_eq!(step1_runs, Some(144), "one step-1 run per distinct key");
 
     // Pool layer: the memoized trace cache was exercised, with at least
     // one hit (every experiment shares gcc traces) and one miss.
@@ -85,7 +94,13 @@ fn metrics_snapshot_reports_every_layer() {
 
     // Sim layer: every phase span recorded at least one sample, and its
     // histogram is internally consistent.
-    for span in ["sim.experiment_ns", "sim.trace_build_ns", "sim.profile_ns", "sim.simulate_ns"] {
+    for span in [
+        "sim.experiment_ns",
+        "sim.trace_build_ns",
+        "sim.step1_ns",
+        "sim.profile_ns",
+        "sim.simulate_ns",
+    ] {
         let histogram = snapshot.get(span).unwrap_or_else(|| panic!("span `{span}`"));
         let count = histogram.get("count").and_then(|v| v.as_u64()).expect("count");
         assert!(count > 0, "span `{span}` must have samples");
