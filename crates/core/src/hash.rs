@@ -4,14 +4,14 @@
 //! `HF_X` combines the `X` most recent compressed targets into a `k`-bit
 //! index: target `T_i` is rotated left by `i − 1` bits (so the *order* of
 //! targets is encoded, not just their set) and all rotated targets are
-//! XORed together.
+//! XORed together. [`hash_path`] is that definition, evaluated from
+//! scratch in O(X).
 //!
-//! Evaluating each hash from scratch costs O(X) XORs; the paper's §4.1
-//! observes that `I_X(t+1) = rot1(I_{X−1}(t)) XOR newtarget`, so keeping a
-//! register with the previous value of `I_{X−1}` evaluates every hash
-//! with a single rotate-XOR per inserted target. [`IncrementalHashers`]
-//! implements that scheme (and the tests prove it equal to the direct
-//! evaluation).
+//! The paper's §4.1 observes that `I_X(t+1) = rot1(I_{X−1}(t)) XOR
+//! newtarget`, so a file of partial-sum registers evaluates every hash
+//! with a single rotate-XOR per register per inserted target.
+//! [`RollingHashers`] folds that register file into one register and a
+//! ring of its past values; the tests pin it to [`hash_path`].
 
 use vlpp_trace::Addr;
 
@@ -34,7 +34,7 @@ fn rotl(value: u64, amount: u32, k: u32) -> u64 {
 /// Directly evaluates `HF_len(PATH_len)` from the THB contents:
 /// `XOR_{i=1..len} rotl(T_i, i−1)`.
 ///
-/// This is the specification; predictors use [`IncrementalHashers`] which
+/// This is the specification; the kernels use [`RollingHashers`], which
 /// computes the same value in O(1) per retired branch.
 ///
 /// # Panics
@@ -58,110 +58,6 @@ pub fn hash_path(thb: &Thb, len: usize) -> u64 {
     thb.path(len).enumerate().fold(0u64, |acc, (i, target)| acc ^ rotl(target, i as u32, k))
 }
 
-/// The §4.1 partial-sum registers: maintains the current value of every
-/// hash function `HF_1 … HF_n` with one rotate-XOR per hash per inserted
-/// target.
-///
-/// Register `X` holds `I_X`, the index `HF_X` would produce for the
-/// current THB contents. When a new target arrives,
-/// `I_X ← rotl(I_{X−1}, 1) XOR target` for `X = n..1` (computed high to
-/// low so each update reads the *previous* value of its neighbor).
-///
-/// # Example
-///
-/// ```
-/// use vlpp_core::{hash_path, IncrementalHashers, Thb};
-/// use vlpp_trace::Addr;
-///
-/// let mut thb = Thb::new(8, 10);
-/// let mut inc = IncrementalHashers::new(8, 10);
-/// for raw in [0x123, 0x456, 0x789] {
-///     let t = Addr::new(raw << 2);
-///     thb.push(t);
-///     inc.push(t);
-/// }
-/// assert_eq!(inc.index(5), hash_path(&thb, 5));
-/// ```
-#[derive(Debug, Clone)]
-pub struct IncrementalHashers {
-    /// `indices[x-1]` = current `I_x`.
-    indices: Vec<u64>,
-    k: u32,
-}
-
-impl IncrementalHashers {
-    /// Creates registers for hash functions `HF_1 … HF_count` producing
-    /// `k`-bit indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is 0 or `k` is not in `1..=64`.
-    pub fn new(count: usize, k: u32) -> Self {
-        assert!(count >= 1, "need at least one hash function");
-        assert!((1..=64).contains(&k), "index width must be in 1..=64, got {k}");
-        IncrementalHashers { indices: vec![0; count], k }
-    }
-
-    /// Updates every register for a newly inserted target address
-    /// (compressed to `k` bits, like the THB entry it mirrors).
-    pub fn push(&mut self, target: Addr) {
-        let t = target.low_bits(self.k);
-        // I_X(t+1) = rotl(I_{X-1}(t), 1) ^ t ; I_0 is the empty hash, 0.
-        for x in (1..self.indices.len()).rev() {
-            self.indices[x] = rotl(self.indices[x - 1], 1, self.k) ^ t;
-        }
-        self.indices[0] = t;
-    }
-
-    /// The current index `I_x` produced by `HF_x` (`x` is 1-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is 0 or exceeds the number of hash functions.
-    #[inline]
-    pub fn index(&self, x: usize) -> u64 {
-        assert!(x >= 1 && x <= self.indices.len(), "hash number must be in 1..=count, got {x}");
-        self.indices[x - 1]
-    }
-
-    /// All current indices, `I_1` first.
-    pub fn indices(&self) -> &[u64] {
-        &self.indices
-    }
-
-    /// The number of hash functions maintained.
-    pub fn count(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// The index width in bits.
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// Resets all registers to the empty-history state.
-    pub fn clear(&mut self) {
-        self.indices.fill(0);
-    }
-
-    /// Restores registers from a snapshot taken with
-    /// [`snapshot`](Self::snapshot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken from a differently-configured
-    /// hasher.
-    pub fn restore(&mut self, snapshot: &[u64]) {
-        assert_eq!(snapshot.len(), self.indices.len(), "snapshot size mismatch");
-        self.indices.copy_from_slice(snapshot);
-    }
-
-    /// Captures the register state (used by the §6 history stack).
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.indices.clone()
-    }
-}
-
 /// One step of the rolling partial sum `S(t) = rot1(S(t−1)) XOR t`,
 /// within `k` bits (`mask` = the low `k` bits set; `t` already
 /// compressed to `k` bits). For `k = 64` the shift pair is the native
@@ -182,8 +78,8 @@ pub(crate) fn window(now: u64, past: u64, amount: u32, k: u32, mask: u64) -> u64
     now ^ (((past << amount) | (past >> ((k - amount) & 63))) & mask)
 }
 
-/// The §4.1 register file folded into a single running register: the
-/// throughput kernel's O(1)-per-retire form of [`IncrementalHashers`].
+/// The §4.1 partial-sum register file folded into a single running
+/// register: the kernels' O(1)-per-retire evaluation of every `HF_X`.
 ///
 /// Unrolling the §4.1 recurrence shows every partial-sum register is a
 /// window of one *infinite-history* sum. Let
@@ -202,24 +98,23 @@ pub(crate) fn window(now: u64, past: u64, amount: u32, k: u32, mask: u64) -> u64
 /// demand. Warmup falls out for free: ring slots not yet written are
 /// zero, which is exactly `S` of the empty history.
 ///
-/// The values produced are bit-identical to [`IncrementalHashers`] (and
-/// therefore to the direct [`hash_path`] evaluation) — the tests prove
-/// all three equal.
+/// The values produced are bit-identical to the direct [`hash_path`]
+/// evaluation — the tests prove it after every push.
 ///
 /// # Example
 ///
 /// ```
-/// use vlpp_core::{IncrementalHashers, RollingHashers};
+/// use vlpp_core::{hash_path, RollingHashers, Thb};
 /// use vlpp_trace::Addr;
 ///
-/// let mut registers = IncrementalHashers::new(8, 10);
+/// let mut thb = Thb::new(32, 10);
 /// let mut rolling = RollingHashers::new(8, 10);
 /// for raw in [0x123, 0x456, 0x789] {
-///     registers.push(Addr::new(raw << 2));
+///     thb.push(Addr::new(raw << 2));
 ///     rolling.push(Addr::new(raw << 2));
 /// }
 /// for x in 1..=8 {
-///     assert_eq!(rolling.index(x), registers.index(x));
+///     assert_eq!(rolling.index(x), hash_path(&thb, x));
 /// }
 /// ```
 #[derive(Debug, Clone)]
@@ -352,6 +247,20 @@ mod tests {
             .collect()
     }
 
+    /// Pushes `targets` into both sides and, after every push, requires
+    /// each of the `count` rolling indices to equal the direct §3.3 hash.
+    fn assert_rolling_matches_direct(count: usize, k: u32, targets: &[Addr]) {
+        let mut thb = Thb::new(crate::MAX_PATH_LENGTH, k);
+        let mut rolling = RollingHashers::new(count, k);
+        for (step, &target) in targets.iter().enumerate() {
+            thb.push(target);
+            rolling.push(target);
+            for x in 1..=count {
+                assert_eq!(rolling.index(x), hash_path(&thb, x), "k {k} length {x} step {step}");
+            }
+        }
+    }
+
     #[test]
     fn direct_hash_of_single_target_is_target() {
         let mut thb = Thb::new(4, 12);
@@ -373,115 +282,80 @@ mod tests {
 
     #[test]
     fn incremental_matches_direct_for_all_lengths() {
-        let cap = 32;
-        let k = 14;
-        let mut thb = Thb::new(cap, k);
-        let mut inc = IncrementalHashers::new(cap, k);
-        for target in pseudo_targets(300) {
-            thb.push(target);
-            inc.push(target);
-            for len in 1..=cap {
-                assert_eq!(inc.index(len), hash_path(&thb, len), "mismatch at length {len}");
-            }
+        // Non-power-of-two counts and awkward widths included.
+        for (count, k) in [(1, 1), (5, 9), (16, 14), (31, 10), (32, 14), (32, 28)] {
+            assert_rolling_matches_direct(count, k, &pseudo_targets(3 * count + 40));
         }
     }
 
     #[test]
     fn incremental_matches_direct_during_warmup() {
-        // Fewer targets than hash length: missing slots are zero in both.
-        let mut thb = Thb::new(8, 10);
-        let mut inc = IncrementalHashers::new(8, 10);
-        for target in pseudo_targets(5) {
-            thb.push(target);
-            inc.push(target);
-        }
-        for len in 1..=8 {
-            assert_eq!(inc.index(len), hash_path(&thb, len));
-        }
+        // Fewer targets than the deepest hash: unwritten ring slots must
+        // act as the empty-history S, like the THB's zero padding.
+        assert_rolling_matches_direct(12, 10, &pseudo_targets(5));
     }
 
     #[test]
     fn incremental_matches_direct_at_k_64() {
-        let mut thb = Thb::new(8, 64);
-        let mut inc = IncrementalHashers::new(8, 64);
-        for target in pseudo_targets(50) {
-            thb.push(target);
-            inc.push(target);
-            assert_eq!(inc.index(8), hash_path(&thb, 8));
-        }
+        assert_rolling_matches_direct(8, 64, &pseudo_targets(50));
+        assert_rolling_matches_direct(32, 64, &pseudo_targets(80));
     }
 
     #[test]
     fn snapshot_restore_round_trips() {
-        let mut inc = IncrementalHashers::new(8, 10);
+        // After a restore, the rolling indices evolve exactly like the
+        // direct hash of a THB that never saw the detour.
+        let mut thb = Thb::new(crate::MAX_PATH_LENGTH, 10);
+        let mut rolling = RollingHashers::new(8, 10);
         for target in pseudo_targets(20) {
-            inc.push(target);
+            thb.push(target);
+            rolling.push(target);
         }
-        let saved = inc.snapshot();
-        let at_save: Vec<u64> = inc.indices().to_vec();
+        let saved = rolling.snapshot();
         for target in pseudo_targets(7) {
-            inc.push(target);
+            rolling.push(target);
         }
-        inc.restore(&saved);
-        assert_eq!(inc.indices(), &at_save[..]);
+        rolling.restore(&saved);
+        for target in pseudo_targets(30).into_iter().skip(20) {
+            thb.push(target);
+            rolling.push(target);
+            for x in 1..=8 {
+                assert_eq!(rolling.index(x), hash_path(&thb, x));
+            }
+        }
     }
 
     #[test]
     fn clear_resets_to_empty_state() {
-        let mut inc = IncrementalHashers::new(4, 10);
-        inc.push(Addr::new(0x40));
-        inc.clear();
-        assert!(inc.indices().iter().all(|&i| i == 0));
+        // A cleared hasher evolves exactly like a fresh THB.
+        let mut rolling = RollingHashers::new(6, 10);
+        for target in pseudo_targets(9) {
+            rolling.push(target);
+        }
+        rolling.clear();
+        let mut thb = Thb::new(crate::MAX_PATH_LENGTH, 10);
+        for target in pseudo_targets(3) {
+            thb.push(target);
+            rolling.push(target);
+        }
+        for x in 1..=6 {
+            assert_eq!(rolling.index(x), hash_path(&thb, x));
+        }
     }
 
     #[test]
     fn indices_stay_within_k_bits() {
-        let mut inc = IncrementalHashers::new(16, 9);
+        let mut rolling = RollingHashers::new(16, 9);
         for target in pseudo_targets(100) {
-            inc.push(target);
-            assert!(inc.indices().iter().all(|&i| i < (1 << 9)));
+            rolling.push(target);
+            assert!((1..=16).all(|x| rolling.index(x) < (1 << 9)));
         }
     }
 
     #[test]
     #[should_panic(expected = "hash number")]
     fn index_rejects_zero() {
-        IncrementalHashers::new(4, 8).index(0);
-    }
-
-    #[test]
-    fn rolling_matches_incremental_for_all_lengths() {
-        // Non-power-of-two counts and awkward widths included.
-        for (count, k) in [(1, 1), (5, 9), (16, 14), (31, 10), (32, 28), (8, 64)] {
-            let mut registers = IncrementalHashers::new(count, k);
-            let mut rolling = RollingHashers::new(count, k);
-            for target in pseudo_targets(3 * count + 40) {
-                registers.push(target);
-                rolling.push(target);
-                for x in 1..=count {
-                    assert_eq!(
-                        rolling.index(x),
-                        registers.index(x),
-                        "count {count} k {k} length {x}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rolling_warmup_matches_incremental() {
-        // Fewer targets than the deepest hash: unwritten ring slots must
-        // act as the empty-history S.
-        let mut registers = IncrementalHashers::new(12, 10);
-        let mut rolling = RollingHashers::new(12, 10);
-        for target in pseudo_targets(5) {
-            registers.push(target);
-            rolling.push(target);
-        }
-        for x in 1..=12 {
-            assert_eq!(rolling.index(x), registers.index(x));
-        }
+        RollingHashers::new(4, 8).index(0);
     }
 
     #[test]

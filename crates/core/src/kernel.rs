@@ -1,40 +1,31 @@
-//! The structure-of-arrays throughput kernel: the serve/simulate hot
-//! loop as flat arrays instead of boxed per-record dispatch.
+//! The paper's predictor as it runs everywhere in the workspace:
+//! [`CondKernel`] for conditional branches and [`IndKernel`] for
+//! indirect branches, each a few flat arrays with one fused `apply` per
+//! record.
 //!
-//! [`PathConditional`](crate::PathConditional) and
-//! [`PathIndirect`](crate::PathIndirect) are the *reference*
-//! implementations: one heap structure per concern, trait dispatch per
-//! record, and a `HashMap` probe for every hash-number lookup and every
-//! per-branch statistic. That shape is ideal for reading the paper back
-//! out of the code and hopeless for serving millions of predictions —
-//! each record pays several unpredictable indirect calls and two or
-//! three SipHash probes.
-//!
-//! [`CondKernel`] and [`IndKernel`] run the *same* predictor as flat
-//! state:
-//!
-//! * the second-level table is one contiguous plane — packed 2-bit
+//! * The second-level table is one contiguous plane — packed 2-bit
 //!   counters ([`CounterPlane`]) or packed target registers
-//!   ([`TargetPlane`]) — updated branchlessly;
-//! * the paper's §4.1 partial sums are the *only* first-level history,
+//!   ([`TargetPlane`]) — updated branchlessly.
+//! * The paper's §4.1 partial sums are the *only* first-level history,
 //!   kept in rolling form ([`RollingHashers`]): unrolling the §4.1
 //!   recurrence gives `I_X(t) = S(t) XOR rotl(S(t−X), X)` for a single
 //!   never-truncated register `S`, so a retired branch costs one
 //!   rotate-XOR *total* (not one per register) and a lookup is one ring
 //!   read plus one rotate-XOR (no THB walk, no re-hash) — with the ring
-//!   sized to the longest hash the assignment actually uses;
-//! * the per-branch hash number and statistics slot resolve through a
+//!   sized to the longest hash the assignment actually uses.
+//! * The per-branch hash number and statistics slot resolve through a
 //!   direct-mapped, exact-tag cache in front of the `HashMap`s, so in
 //!   steady state a record costs zero hash probes.
 //!
-//! The kernels are **bit-for-bit** equivalent to the reference: same
-//! prediction stream, same counter/target state, same statistics. That
-//! is not an aspiration but a test surface — `tests/prop_kernel.rs`
-//! drives both sides over seeded configs × synthetic traces and
-//! asserts exact equality, and the serve loadgen oracle re-proves it
-//! end-to-end on every CI run. Dynamic (§3.4 hardware-selected) hash
-//! selection intentionally stays on the boxed path: it is an ablation,
-//! not a serving configuration.
+//! The kernels are **bit-for-bit** equal to the direct-definition
+//! reference in [`path`](crate::path), which re-hashes a THB with
+//! [`hash_path`](crate::hash_path) on every lookup: same prediction
+//! stream, same counter/target state, same statistics. That is a test
+//! surface, not an aspiration — `tests/prop_kernel.rs` drives both sides
+//! over seeded configs × synthetic traces and asserts exact equality,
+//! and the serve loadgen oracle re-proves it end-to-end on every CI run.
+//! Dynamic (§3.4 hardware-selected) hash selection exists only on the
+//! reference: it is an ablation, not a serving configuration.
 
 use std::collections::HashMap;
 
@@ -46,10 +37,8 @@ use crate::path::PathConfig;
 use crate::select::HashAssignment;
 use crate::stack::HistoryStack;
 
-/// A contiguous plane of packed target registers: the
-/// structure-of-arrays form of a
-/// [`TargetTable`](crate::TargetTable) — full 64-bit targets in one
-/// dense array, validity as one bit per entry. (The paper's footnote-1
+/// A contiguous plane of packed target registers: full 64-bit targets
+/// in one dense array, validity as one bit per entry. (The paper's footnote-1
 /// low-32 splice lives on only in the CHP baselines; the VLPP planes
 /// store full targets so addresses ≥ 2^32 never alias. The
 /// 4-bytes-per-entry budget accounting is unchanged.)
@@ -152,7 +141,7 @@ impl TargetPlane {
     }
 
     /// Every register in index order — the diagnostic form the
-    /// differential tests compare against the boxed table.
+    /// differential tests compare against the reference table.
     pub fn entries(&self) -> Vec<Option<u64>> {
         (0..self.len).map(|i| self.entry(i)).collect()
     }
@@ -212,9 +201,7 @@ struct KernelCore {
     store_returns: bool,
     stack: Option<HistoryStack>,
     default_hash: u8,
-    /// Explicit per-branch hash numbers, already clamped to the THB
-    /// capacity (the reference clamps on every lookup; the kernel
-    /// clamps once at build time).
+    /// Explicit per-branch hash numbers.
     assigned: HashMap<u64, u8>,
     cache: Box<[CacheLine]>,
     rows: Vec<BranchRow>,
@@ -223,11 +210,8 @@ struct KernelCore {
 
 impl KernelCore {
     fn new(config: &PathConfig, assignment: &HashAssignment) -> Self {
-        let capacity = config.thb_capacity;
-        let clamp = |n: u8| -> u8 { (n as usize).min(capacity) as u8 };
-        let default_hash = clamp(assignment.default_hash());
-        let assigned: HashMap<u64, u8> =
-            assignment.iter().map(|(pc, n)| (pc.raw(), clamp(n))).collect();
+        let default_hash = assignment.default_hash();
+        let assigned: HashMap<u64, u8> = assignment.iter().map(|(pc, n)| (pc.raw(), n)).collect();
         // The recurrence I_X(t+1) = rot1(I_{X-1}(t)) ^ t only reads
         // *lower* registers, so registers above the longest hash in use
         // can be dropped without changing any maintained value.
@@ -413,8 +397,8 @@ impl KernelCore {
     }
 }
 
-/// The structure-of-arrays conditional path predictor: bit-identical
-/// to [`PathConditional`](crate::PathConditional) with a static hash
+/// The conditional path predictor: bit-identical to the reference
+/// [`PathConditional`](crate::PathConditional) with a static hash
 /// assignment, built for throughput.
 ///
 /// Drive it record-at-a-time through the fused [`apply`](Self::apply)
@@ -448,8 +432,8 @@ impl CondKernel {
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as the reference constructor
-    /// (index width out of `1..=28`, zero THB capacity).
+    /// Panics if `config.index_bits` is out of `1..=28` (which
+    /// [`PathConfig::new`] already rejects).
     pub fn new(config: &PathConfig, assignment: &HashAssignment) -> Self {
         CondKernel {
             plane: CounterPlane::new(1 << config.index_bits),
@@ -554,7 +538,7 @@ impl ConditionalPredictor for CondKernel {
     }
 }
 
-/// The structure-of-arrays indirect path predictor: bit-identical to
+/// The indirect path predictor: bit-identical to the reference
 /// [`PathIndirect`](crate::PathIndirect) with a static hash
 /// assignment. See [`CondKernel`] for the layout story.
 ///
@@ -582,7 +566,7 @@ impl IndKernel {
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as the reference constructor.
+    /// Panics if `config.index_bits` is out of `1..=28`.
     pub fn new(config: &PathConfig, assignment: &HashAssignment) -> Self {
         IndKernel {
             plane: TargetPlane::new(1 << config.index_bits),
@@ -835,25 +819,6 @@ mod tests {
             reference.observe(&record);
         }
         assert_eq!(kernel.counter_values(), reference.counter_values());
-    }
-
-    #[test]
-    fn assignment_above_capacity_clamps_like_reference() {
-        let mut config = PathConfig::new(8);
-        config.thb_capacity = 4;
-        let assignment = HashAssignment::fixed(32); // clamps to 4
-        let mut kernel = CondKernel::new(&config, &assignment);
-        let mut reference = PathConditional::new(config, assignment);
-        for record in stream(1000, 5) {
-            if record.is_conditional() {
-                let expected = reference.predict(record.pc());
-                reference.train(record.pc(), record.taken());
-                assert_eq!(kernel.apply(&record).map(|(p, _)| p), Some(expected));
-            } else {
-                kernel.apply(&record);
-            }
-            reference.observe(&record);
-        }
     }
 
     #[test]

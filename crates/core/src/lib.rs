@@ -20,26 +20,31 @@
 //!
 //! | Paper section | Module |
 //! |---|---|
-//! | §3.1 predictor structure (Fig. 1, 2) | [`thb`], [`hash`], [`table`], [`path`] |
+//! | §3.1 predictor structure (Fig. 1, 2) | [`kernel`]; the reference in [`path`] |
 //! | §3.2 recording the path | [`thb`] ([`Thb::observe`](thb::Thb::observe)) |
-//! | §3.3 rotate-then-XOR hash functions | [`hash`] |
+//! | §3.3 rotate-then-XOR hash functions | [`hash`] ([`hash_path`]) |
 //! | §3.4 hash selection | [`select`] |
 //! | §3.5 profiling heuristic | [`profile`] |
-//! | §4.1 single-XOR evaluation | [`hash::IncrementalHashers`] |
-//! | §4 practicality: the throughput kernel | [`kernel`] |
+//! | §4.1 single-XOR evaluation | [`hash::RollingHashers`] |
 //! | §4.3 pipelining / HFNT (Fig. 3, 4) | [`hfnt`] |
 //! | §6 future work: call/return history stack | [`stack`] |
 //! | §2 related work: Tarlescu elastic history | [`elastic`] |
 //! | §2 related work: Driesen–Hölzle dual-length hybrid | [`cascade`] |
 //!
-//! The user-facing predictors are [`PathConditional`] and
-//! [`PathIndirect`]; both implement the `vlpp-predict` traits, so the
-//! `vlpp-sim` runner drives them interchangeably with the baselines.
+//! The predictor is [`CondKernel`] (conditional branches) and
+//! [`IndKernel`] (indirect branches): flat arrays, one rolling
+//! partial-sum register, and a fused `apply` per record. Both also
+//! implement the `vlpp-predict` traits, so the `vlpp-sim` runner drives
+//! them interchangeably with the baselines. [`path`] holds
+//! [`PathConfig`], which both kernels are built from, and
+//! [`PathConditional`]/[`PathIndirect`], the same predictor written
+//! straight from the paper's definitions. They are slow and serve as the
+//! oracle the kernels are tested against.
 //!
 //! ## Example: fixed- and variable-length path prediction
 //!
 //! ```
-//! use vlpp_core::{HashAssignment, PathConditional, PathConfig};
+//! use vlpp_core::{CondKernel, HashAssignment, PathConfig};
 //! use vlpp_predict::ConditionalPredictor;
 //! use vlpp_trace::Addr;
 //!
@@ -47,14 +52,14 @@
 //!
 //! // Fixed length: every branch hashes the last 9 targets (Table 2's
 //! // best length for a 4 KB table).
-//! let mut flp = PathConditional::new(config.clone(), HashAssignment::fixed(9));
+//! let mut flp = CondKernel::new(&config, &HashAssignment::fixed(9));
 //! let _ = flp.predict(Addr::new(0x1000));
 //!
 //! // Variable length: per-branch lengths, normally produced by
 //! // `profile::ProfileBuilder`.
 //! let mut assignment = HashAssignment::fixed(9);
 //! assignment.assign(Addr::new(0x1000), 3);
-//! let mut vlp = PathConditional::new(config, assignment);
+//! let mut vlp = CondKernel::new(&config, &assignment);
 //! let _ = vlp.predict(Addr::new(0x1000));
 //! ```
 
@@ -70,19 +75,17 @@ pub mod path;
 pub mod profile;
 pub mod select;
 pub mod stack;
-pub mod table;
 pub mod thb;
 
 pub use cascade::DualLengthPathIndirect;
 pub use elastic::ElasticGshare;
-pub use hash::{hash_path, IncrementalHashers, RollingHashers};
+pub use hash::{hash_path, RollingHashers};
 pub use hfnt::{Hfnt, HfntStats};
 pub use kernel::{CondKernel, IndKernel, KernelState, TargetPlane};
 pub use path::{PathConditional, PathConfig, PathIndirect};
 pub use profile::{Population, ProfileBuilder, ProfileConfig, ProfileReport, Step1Report};
 pub use select::{DynamicSelector, HashAssignment};
 pub use stack::HistoryStack;
-pub use table::{CounterTable, TargetTable};
 pub use thb::Thb;
 
 /// The THB capacity the paper uses: at most 32 target addresses, hence

@@ -1,24 +1,35 @@
-//! The path predictors themselves: [`PathConditional`] and
+//! [`PathConfig`], the structure every path predictor is built from, and
+//! the direct-definition reference predictors [`PathConditional`] and
 //! [`PathIndirect`] (paper §3.1, Figures 1 and 2).
 //!
-//! Both share [`PathConfig`] (first-level structure) and a selection
-//! source: a static [`HashAssignment`] (profile- or compiler-provided,
-//! §3.5) or a [`DynamicSelector`] (hardware-only, §3.4). A fixed
-//! assignment yields the paper's *fixed length path* predictor; a
-//! profiled assignment yields the *variable length path* predictor.
+//! The product predictor is [`CondKernel`](crate::CondKernel) /
+//! [`IndKernel`](crate::IndKernel). This module is the oracle they are
+//! pinned to, written the way the paper states the predictor rather
+//! than the way hardware computes it:
+//!
+//! * the first level is a [`Thb`], and every lookup evaluates
+//!   [`hash_path`] (§3.3) over it from scratch — no §4.1 partial sums;
+//! * the second level is a plain `Vec<Counter2>` or `Vec<Option<u64>>`;
+//! * the §6 history stack saves the THB contents at a call and puts
+//!   them back at the matching return.
+//!
+//! A fixed [`HashAssignment`] gives the paper's *fixed length path*
+//! predictor and a profiled one the *variable length path* predictor.
+//! [`PathConditional::new_dynamic`] adds §3.4 hardware selection, which
+//! only the `ablate-select` experiment runs.
 
-use vlpp_predict::{BranchObserver, Budget, ConditionalPredictor, IndirectPredictor};
+use vlpp_predict::{BranchObserver, Budget, ConditionalPredictor, Counter2, IndirectPredictor};
 use vlpp_trace::{Addr, BranchKind, BranchRecord};
 
-use crate::hash::IncrementalHashers;
+use crate::hash::hash_path;
 use crate::select::{DynamicSelector, HashAssignment};
 use crate::stack::HistoryStack;
-use crate::table::{CounterTable, TargetTable};
 use crate::thb::Thb;
 use crate::MAX_PATH_LENGTH;
 
 /// Structural parameters of a path predictor: everything except the
-/// second-level table contents and the hash selection.
+/// second-level table contents and the hash selection. The THB always
+/// holds [`MAX_PATH_LENGTH`] targets, as in the paper.
 ///
 /// # Example
 ///
@@ -27,15 +38,13 @@ use crate::MAX_PATH_LENGTH;
 ///
 /// let c = PathConfig::conditional_for_bytes(16 * 1024);
 /// assert_eq!(c.index_bits, 16);
-/// assert_eq!(c.thb_capacity, 32);
+/// assert!(!c.store_returns);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathConfig {
     /// Width `k` of the predictor-table index and of each compressed
     /// target in the THB.
     pub index_bits: u32,
-    /// THB capacity `N` (the paper uses 32).
-    pub thb_capacity: usize,
     /// Whether return targets enter the THB (§3.2 ablation; the paper's
     /// experiments leave them out).
     pub store_returns: bool,
@@ -45,20 +54,15 @@ pub struct PathConfig {
 }
 
 impl PathConfig {
-    /// A configuration with the paper's defaults (32-entry THB, no
-    /// returns, no history stack) and the given index width.
+    /// A configuration with the paper's defaults (no returns, no
+    /// history stack) and the given index width.
     ///
     /// # Panics
     ///
     /// Panics if `index_bits` is 0 or greater than 28.
     pub fn new(index_bits: u32) -> Self {
         assert!((1..=28).contains(&index_bits), "index width must be in 1..=28, got {index_bits}");
-        PathConfig {
-            index_bits,
-            thb_capacity: MAX_PATH_LENGTH,
-            store_returns: false,
-            history_stack_depth: None,
-        }
+        PathConfig { index_bits, store_returns: false, history_stack_depth: None }
     }
 
     /// A conditional-predictor configuration for a table of `bytes`
@@ -100,96 +104,53 @@ impl PathConfig {
     }
 }
 
-/// The hash-selection source shared by both predictor variants.
+/// The first level: the THB plus the optional §6 stack of saved THBs.
+#[derive(Debug, Clone)]
+struct History {
+    thb: Thb,
+    stack: Option<HistoryStack>,
+}
+
+impl History {
+    fn new(config: &PathConfig) -> Self {
+        let thb = if config.store_returns {
+            Thb::with_returns(MAX_PATH_LENGTH, config.index_bits)
+        } else {
+            Thb::new(MAX_PATH_LENGTH, config.index_bits)
+        };
+        History { thb, stack: config.history_stack_depth.map(HistoryStack::new) }
+    }
+
+    /// The table index `HF_hash` gives for the current path.
+    fn index(&self, hash: u8) -> usize {
+        hash_path(&self.thb, hash as usize) as usize
+    }
+
+    fn observe(&mut self, record: &BranchRecord) {
+        if let Some(stack) = &mut self.stack {
+            match record.kind() {
+                BranchKind::Call => stack.push(self.thb.snapshot()),
+                BranchKind::Return => {
+                    if let Some(saved) = stack.pop() {
+                        self.thb.restore(&saved);
+                    }
+                }
+                _ => {}
+            }
+        }
+        self.thb.observe(record);
+    }
+}
+
+/// Where a conditional predictor's hash numbers come from.
 #[derive(Debug, Clone)]
 enum Selection {
     Static(HashAssignment),
     Dynamic(DynamicSelector),
 }
 
-/// First-level history plus hash evaluation: the part of the predictor
-/// shared between the conditional and indirect variants.
-#[derive(Debug, Clone)]
-struct PathCore {
-    thb: Thb,
-    hashers: IncrementalHashers,
-    selection: Selection,
-    stack: Option<HistoryStack>,
-}
-
-impl PathCore {
-    fn new(config: &PathConfig, selection: Selection) -> Self {
-        let thb = if config.store_returns {
-            Thb::with_returns(config.thb_capacity, config.index_bits)
-        } else {
-            Thb::new(config.thb_capacity, config.index_bits)
-        };
-        PathCore {
-            thb,
-            hashers: IncrementalHashers::new(config.thb_capacity, config.index_bits),
-            selection,
-            stack: config.history_stack_depth.map(HistoryStack::new),
-        }
-    }
-
-    /// The hash number selected for `pc`, clamped to the THB capacity.
-    #[inline]
-    fn hash_number(&self, pc: Addr) -> usize {
-        let n = match &self.selection {
-            Selection::Static(assignment) => assignment.get(pc),
-            Selection::Dynamic(selector) => selector.select(pc),
-        } as usize;
-        n.min(self.thb.capacity())
-    }
-
-    /// The table index for `pc` under the current history.
-    #[inline]
-    fn index(&self, pc: Addr) -> u64 {
-        self.hashers.index(self.hash_number(pc))
-    }
-
-    /// The index produced by a specific hash number (used by dynamic
-    /// selection training).
-    #[inline]
-    fn index_for(&self, n: u8) -> u64 {
-        self.hashers.index((n as usize).min(self.thb.capacity()))
-    }
-
-    fn observe(&mut self, record: &BranchRecord) {
-        // §6 history stack: snapshot at calls, restore at returns.
-        if let Some(stack) = &mut self.stack {
-            match record.kind() {
-                BranchKind::Call => stack.push(self.hashers.snapshot()),
-                BranchKind::Return => {
-                    if let Some(snapshot) = stack.pop() {
-                        self.hashers.restore(&snapshot);
-                        // The THB mirror is only diagnostic; clearing it
-                        // keeps it consistent with "history replaced".
-                        self.thb.clear();
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Keep the hash registers in lockstep with the THB's §3.2 policy.
-        let store = record.enters_thb()
-            || (self.thb.stores_returns() && record.kind() == BranchKind::Return);
-        if store {
-            self.thb.push(record.target());
-            self.hashers.push(record.target());
-        }
-    }
-}
-
-/// A path-based conditional-branch predictor (paper Figure 1 with a
-/// counter table).
-///
-/// With a [`HashAssignment::fixed`] selection this is the paper's **fixed
-/// length path** predictor; with a profiled assignment it is the
-/// **variable length path** predictor; with [`new_dynamic`] it is the
-/// §3.4 hardware-selected variant.
-///
-/// [`new_dynamic`]: Self::new_dynamic
+/// The path-based conditional-branch predictor (paper Figure 1 with a
+/// counter table), evaluated straight from its definition.
 ///
 /// # Example
 ///
@@ -209,23 +170,21 @@ impl PathCore {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PathConditional {
-    core: PathCore,
-    table: CounterTable,
+    history: History,
+    selection: Selection,
+    counters: Vec<Counter2>,
 }
 
 impl PathConditional {
     /// Creates a predictor with a static (compiler/profile) hash
     /// assignment.
     pub fn new(config: PathConfig, assignment: HashAssignment) -> Self {
-        PathConditional {
-            table: CounterTable::new(config.index_bits),
-            core: PathCore::new(&config, Selection::Static(assignment)),
-        }
+        PathConditional::with_selection(&config, Selection::Static(assignment))
     }
 
-    /// Creates a predictor with hardware-dynamic hash selection over the
-    /// given candidate hash numbers, with `2^selector_set_bits` selector
-    /// sets.
+    /// Creates a predictor with hardware-dynamic hash selection (§3.4)
+    /// over the given candidate hash numbers, with `2^selector_set_bits`
+    /// selector sets.
     ///
     /// Note the structural handicap the `ablate-select` experiment
     /// quantifies: all candidates score their accuracy against the one
@@ -240,64 +199,65 @@ impl PathConditional {
     /// Panics if `candidates` is empty or contains hash numbers outside
     /// `1..=32`.
     pub fn new_dynamic(config: PathConfig, candidates: &[u8], selector_set_bits: u32) -> Self {
+        let selector = DynamicSelector::new(candidates, selector_set_bits);
+        PathConditional::with_selection(&config, Selection::Dynamic(selector))
+    }
+
+    fn with_selection(config: &PathConfig, selection: Selection) -> Self {
         PathConditional {
-            table: CounterTable::new(config.index_bits),
-            core: PathCore::new(
-                &config,
-                Selection::Dynamic(DynamicSelector::new(candidates, selector_set_bits)),
-            ),
+            history: History::new(config),
+            selection,
+            counters: vec![Counter2::default(); 1 << config.index_bits],
         }
     }
 
-    /// The hash number the predictor would use for `pc` right now.
-    pub fn selected_hash(&self, pc: Addr) -> usize {
-        self.core.hash_number(pc)
+    /// The hash number used for `pc` right now.
+    fn hash(&self, pc: Addr) -> u8 {
+        match &self.selection {
+            Selection::Static(assignment) => assignment.get(pc),
+            Selection::Dynamic(selector) => selector.select(pc),
+        }
     }
 
-    /// The second-level table size in bytes.
+    /// The second-level table size in bytes (2 bits per counter).
     pub fn table_bytes(&self) -> u64 {
-        self.table.bytes()
+        self.counters.len() as u64 / 4
     }
 
-    /// Every counter value in index order — the diagnostic surface the
-    /// kernel differential tests compare against.
+    /// Every counter value in index order — the state the kernel
+    /// differential tests compare.
     pub fn counter_values(&self) -> Vec<u8> {
-        self.table.values()
+        self.counters.iter().map(|c| c.value()).collect()
     }
 }
 
 impl BranchObserver for PathConditional {
     fn observe(&mut self, record: &BranchRecord) {
-        self.core.observe(record);
+        self.history.observe(record);
     }
 }
 
 impl ConditionalPredictor for PathConditional {
     fn predict(&mut self, pc: Addr) -> bool {
-        self.table.predict(self.core.index(pc))
+        self.counters[self.history.index(self.hash(pc))].predict_taken()
     }
 
     fn train(&mut self, pc: Addr, taken: bool) {
-        // Dynamic selection trains the per-candidate accuracy counters by
-        // checking what each candidate would have predicted.
-        if let Selection::Dynamic(selector) = &self.core.selection {
-            let verdicts: Vec<(usize, bool)> = selector
-                .candidates()
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| (i, self.table.predict(self.core.index_for(c)) == taken))
-                .collect();
-            if let Selection::Dynamic(selector) = &mut self.core.selection {
-                for (i, correct) in verdicts {
-                    selector.reward(pc, i, correct);
-                }
+        // Dynamic selection first scores what every candidate would have
+        // predicted, then trains the counter of the (possibly
+        // re-selected) hash.
+        if let Selection::Dynamic(selector) = &mut self.selection {
+            for i in 0..selector.candidates().len() {
+                let index = self.history.index(selector.candidates()[i]);
+                selector.reward(pc, i, self.counters[index].predict_taken() == taken);
             }
         }
-        self.table.train(self.core.index(pc), taken);
+        let index = self.history.index(self.hash(pc));
+        self.counters[index].update(taken);
     }
 
     fn name(&self) -> String {
-        match &self.core.selection {
+        match &self.selection {
             Selection::Static(a) if a.is_fixed() => "fixed length path".into(),
             Selection::Static(_) => "variable length path".into(),
             Selection::Dynamic(_) => "dynamic path".into(),
@@ -305,8 +265,10 @@ impl ConditionalPredictor for PathConditional {
     }
 }
 
-/// A path-based indirect-branch predictor (paper Figure 1 with a table of
-/// target registers).
+/// The path-based indirect-branch predictor (paper Figure 1 with a table
+/// of target registers), evaluated straight from its definition. Each
+/// register holds a full 64-bit target (the budget still counts 4 bytes
+/// per entry).
 ///
 /// # Example
 ///
@@ -326,8 +288,9 @@ impl ConditionalPredictor for PathConditional {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PathIndirect {
-    core: PathCore,
-    table: TargetTable,
+    history: History,
+    assignment: HashAssignment,
+    targets: Vec<Option<u64>>,
 }
 
 impl PathIndirect {
@@ -335,78 +298,50 @@ impl PathIndirect {
     /// assignment.
     pub fn new(config: PathConfig, assignment: HashAssignment) -> Self {
         PathIndirect {
-            table: TargetTable::new(config.index_bits),
-            core: PathCore::new(&config, Selection::Static(assignment)),
+            history: History::new(&config),
+            assignment,
+            targets: vec![None; 1 << config.index_bits],
         }
     }
 
-    /// Creates a predictor with hardware-dynamic hash selection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `candidates` is empty or contains hash numbers outside
-    /// `1..=32`.
-    pub fn new_dynamic(config: PathConfig, candidates: &[u8], selector_set_bits: u32) -> Self {
-        PathIndirect {
-            table: TargetTable::new(config.index_bits),
-            core: PathCore::new(
-                &config,
-                Selection::Dynamic(DynamicSelector::new(candidates, selector_set_bits)),
-            ),
-        }
+    fn index(&self, pc: Addr) -> usize {
+        self.history.index(self.assignment.get(pc))
     }
 
-    /// The hash number the predictor would use for `pc` right now.
-    pub fn selected_hash(&self, pc: Addr) -> usize {
-        self.core.hash_number(pc)
-    }
-
-    /// The second-level table size in bytes.
+    /// The second-level table size in bytes (4 bytes per register).
     pub fn table_bytes(&self) -> u64 {
-        self.table.bytes()
+        self.targets.len() as u64 * 4
     }
 
-    /// Every entry's stored target in index order (`None` for
-    /// never-written entries) — the diagnostic surface the kernel
-    /// differential tests compare against.
+    /// Every register's stored target in index order (`None` for
+    /// never-written registers) — the state the kernel differential
+    /// tests compare.
     pub fn target_entries(&self) -> Vec<Option<u64>> {
-        self.table.stored()
+        self.targets.clone()
     }
 }
 
 impl BranchObserver for PathIndirect {
     fn observe(&mut self, record: &BranchRecord) {
-        self.core.observe(record);
+        self.history.observe(record);
     }
 }
 
 impl IndirectPredictor for PathIndirect {
     fn predict(&mut self, pc: Addr) -> Addr {
-        self.table.predict(self.core.index(pc), pc)
+        Addr::new(self.targets[self.index(pc)].unwrap_or(0))
     }
 
     fn train(&mut self, pc: Addr, target: Addr) {
-        if let Selection::Dynamic(selector) = &self.core.selection {
-            let verdicts: Vec<(usize, bool)> = selector
-                .candidates()
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| (i, self.table.predict(self.core.index_for(c), pc) == target))
-                .collect();
-            if let Selection::Dynamic(selector) = &mut self.core.selection {
-                for (i, correct) in verdicts {
-                    selector.reward(pc, i, correct);
-                }
-            }
-        }
-        self.table.train(self.core.index(pc), target);
+        let index = self.index(pc);
+        self.targets[index] = Some(target.raw());
     }
 
     fn name(&self) -> String {
-        match &self.core.selection {
-            Selection::Static(a) if a.is_fixed() => "fixed length path".into(),
-            Selection::Static(_) => "variable length path".into(),
-            Selection::Dynamic(_) => "dynamic path".into(),
+        if self.assignment.is_fixed() {
+            "fixed length path".into()
+        } else {
+            "variable length path".into()
         }
     }
 }
@@ -423,6 +358,14 @@ mod tests {
     fn config_budget_constructors() {
         assert_eq!(PathConfig::conditional_for_bytes(4096).index_bits, 14);
         assert_eq!(PathConfig::indirect_for_bytes(512).index_bits, 7);
+    }
+
+    #[test]
+    fn tables_follow_the_budget_accounting() {
+        let config = PathConfig::conditional_for_bytes(4096);
+        assert_eq!(PathConditional::new(config, HashAssignment::fixed(1)).table_bytes(), 4096);
+        let config = PathConfig::indirect_for_bytes(512);
+        assert_eq!(PathIndirect::new(config, HashAssignment::fixed(1)).table_bytes(), 512);
     }
 
     #[test]
@@ -497,17 +440,9 @@ mod tests {
         a.assign(Addr::new(0x10), 1);
         a.assign(Addr::new(0x20), 32);
         let p = PathConditional::new(config, a);
-        assert_eq!(p.selected_hash(Addr::new(0x10)), 1);
-        assert_eq!(p.selected_hash(Addr::new(0x20)), 32);
-        assert_eq!(p.selected_hash(Addr::new(0x999)), 8);
-    }
-
-    #[test]
-    fn hash_number_clamps_to_thb_capacity() {
-        let mut config = PathConfig::new(8);
-        config.thb_capacity = 4;
-        let p = PathConditional::new(config, HashAssignment::fixed(32));
-        assert_eq!(p.selected_hash(Addr::new(0)), 4);
+        assert_eq!(p.hash(Addr::new(0x10)), 1);
+        assert_eq!(p.hash(Addr::new(0x20)), 32);
+        assert_eq!(p.hash(Addr::new(0x999)), 8);
     }
 
     #[test]
@@ -518,16 +453,16 @@ mod tests {
         for i in 0..4u64 {
             p.observe(&cond(0x100 + 4 * i, (0x500 + i) << 2, true));
         }
-        let caller_index = p.core.index(Addr::new(0x9000));
+        let caller_index = p.history.index(4);
         // Call; the callee pollutes history.
         p.observe(&BranchRecord::call(Addr::new(0x200), Addr::new(0x4000)));
         for i in 0..6u64 {
             p.observe(&cond(0x4000 + 4 * i, (0x900 + i) << 2, true));
         }
-        assert_ne!(p.core.index(Addr::new(0x9000)), caller_index);
+        assert_ne!(p.history.index(4), caller_index);
         // Return restores the caller's history.
         p.observe(&BranchRecord::ret(Addr::new(0x4100), Addr::new(0x204)));
-        assert_eq!(p.core.index(Addr::new(0x9000)), caller_index);
+        assert_eq!(p.history.index(4), caller_index);
     }
 
     #[test]
@@ -537,13 +472,13 @@ mod tests {
         for i in 0..4u64 {
             p.observe(&cond(0x100 + 4 * i, (0x500 + i) << 2, true));
         }
-        let caller_index = p.core.index(Addr::new(0x9000));
+        let caller_index = p.history.index(4);
         p.observe(&BranchRecord::call(Addr::new(0x200), Addr::new(0x4000)));
         for i in 0..6u64 {
             p.observe(&cond(0x4000 + 4 * i, (0x900 + i) << 2, true));
         }
         p.observe(&BranchRecord::ret(Addr::new(0x4100), Addr::new(0x204)));
-        assert_ne!(p.core.index(Addr::new(0x9000)), caller_index);
+        assert_ne!(p.history.index(4), caller_index);
     }
 
     #[test]
@@ -573,12 +508,22 @@ mod tests {
             correct as f64 / 3000.0 > 0.9,
             "dynamic selector should discover HF_2, got {correct}/3000"
         );
-        assert_eq!(p.selected_hash(pc), 2);
+        assert_eq!(p.hash(pc), 2);
     }
 
     #[test]
     fn indirect_cold_predicts_null() {
         let mut p = PathIndirect::new(PathConfig::new(8), HashAssignment::fixed(3));
         assert_eq!(p.predict(Addr::new(0x10)), Addr::NULL);
+    }
+
+    #[test]
+    fn indirect_keeps_targets_above_four_gib() {
+        // Full-width registers: a branch whose pc and target live in
+        // different 4 GiB regions still predicts its repeating target.
+        let mut p = PathIndirect::new(PathConfig::new(8), HashAssignment::fixed(1));
+        let (pc, target) = (Addr::new(0x1_0000_0040), Addr::new(0x7_0000_9000));
+        p.train(pc, target);
+        assert_eq!(p.predict(pc), target);
     }
 }

@@ -43,11 +43,12 @@
 //!   misses from their per-branch rows, which the kernels number in the
 //!   same first-seen order.
 //!
-//! The boxed [`PathConditional`](crate::PathConditional) and
-//! [`PathIndirect`](crate::PathIndirect) are not used here; the
-//! differential tests in `tests/prop_core.rs` rebuild the heuristic on
-//! them (and on per-hash [`CounterTable`](crate::CounterTable)s) and
-//! require identical reports.
+//! The differential tests in `tests/prop_core.rs` rebuild the heuristic
+//! from the paper's definitions — step 1 on a [`Thb`](crate::Thb),
+//! [`hash_path`](crate::hash_path) and one plain table per hash, step 2
+//! on the reference [`PathConditional`](crate::PathConditional) /
+//! [`PathIndirect`](crate::PathIndirect) — and require identical
+//! reports.
 
 use std::collections::HashMap;
 
@@ -58,6 +59,7 @@ use crate::hash::{rolled, window};
 use crate::kernel::{CondKernel, IndKernel, TargetPlane};
 use crate::path::PathConfig;
 use crate::select::HashAssignment;
+use crate::MAX_PATH_LENGTH;
 
 /// Parameters of the profiling heuristic.
 ///
@@ -89,10 +91,10 @@ pub struct ProfileConfig {
 
 impl ProfileConfig {
     /// The paper's configuration for a given predictor structure: hash
-    /// set `1..=capacity`, 3 candidates, 7 iterations.
+    /// set `1..=32`, 3 candidates, 7 iterations.
     pub fn new(path: PathConfig) -> Self {
-        let top = path.thb_capacity.min(crate::MAX_PATH_LENGTH) as u8;
-        ProfileConfig { path, hash_set: (1..=top).collect(), candidates: 3, iterations: 7 }
+        let hash_set = (1..=MAX_PATH_LENGTH as u8).collect();
+        ProfileConfig { path, hash_set, candidates: 3, iterations: 7 }
     }
 
     /// Replaces the hash set (for the subset-of-hash-functions ablation).
@@ -100,18 +102,15 @@ impl ProfileConfig {
     /// # Panics
     ///
     /// Panics if `hash_set` is empty, unsorted, or contains numbers
-    /// outside `1..=path.thb_capacity`. Hash number `X` reads the `X`
-    /// most recent THB targets, so a number above the THB capacity has
-    /// no defined meaning — older versions silently clamped it to the
-    /// capacity during step 1, which made two "different" hash functions
-    /// score as the same predictor.
+    /// outside `1..=32`. Hash number `X` reads the `X` most recent THB
+    /// targets, so a number above the THB capacity has no defined
+    /// meaning.
     pub fn with_hash_set(mut self, hash_set: Vec<u8>) -> Self {
         assert!(!hash_set.is_empty(), "hash set must not be empty");
         assert!(hash_set.windows(2).all(|w| w[0] < w[1]), "hash set must be strictly increasing");
-        let capacity = self.path.thb_capacity;
         assert!(
-            hash_set.iter().all(|&h| h >= 1 && h as usize <= capacity),
-            "hash numbers must be in 1..={capacity} (the THB capacity); got {hash_set:?}"
+            hash_set.iter().all(|&h| h >= 1 && h as usize <= MAX_PATH_LENGTH),
+            "hash numbers must be in 1..={MAX_PATH_LENGTH} (the THB capacity); got {hash_set:?}"
         );
         self.hash_set = hash_set;
         self
@@ -241,7 +240,7 @@ impl Step1Report {
 /// # Example
 ///
 /// ```
-/// use vlpp_core::{PathConditional, PathConfig, ProfileBuilder, ProfileConfig};
+/// use vlpp_core::{CondKernel, PathConfig, ProfileBuilder, ProfileConfig};
 /// use vlpp_trace::{Addr, BranchRecord, Trace};
 ///
 /// let mut trace = Trace::new();
@@ -251,7 +250,7 @@ impl Step1Report {
 /// }
 /// let config = ProfileConfig::new(PathConfig::new(8));
 /// let report = ProfileBuilder::new(config.clone()).profile_conditional(&trace);
-/// let _vlp = PathConditional::new(config.path, report.assignment);
+/// let _vlp = CondKernel::new(&config.path, &report.assignment);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProfileBuilder {
@@ -263,16 +262,14 @@ impl ProfileBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `config.hash_set` is empty or names a hash number above
-    /// `config.path.thb_capacity` (possible by mutating the public
-    /// fields directly; [`ProfileConfig::with_hash_set`] already rejects
-    /// both).
+    /// Panics if `config.hash_set` is empty or names a hash number
+    /// outside `1..=32` (possible by mutating the public fields
+    /// directly; [`ProfileConfig::with_hash_set`] already rejects both).
     pub fn new(config: ProfileConfig) -> Self {
         assert!(!config.hash_set.is_empty(), "hash set must not be empty");
-        let capacity = config.path.thb_capacity;
         assert!(
-            config.hash_set.iter().all(|&h| h >= 1 && h as usize <= capacity),
-            "hash numbers must be in 1..={capacity} (the THB capacity)"
+            config.hash_set.iter().all(|&h| h >= 1 && h as usize <= MAX_PATH_LENGTH),
+            "hash numbers must be in 1..={MAX_PATH_LENGTH} (the THB capacity)"
         );
         ProfileBuilder { config }
     }
@@ -739,7 +736,6 @@ impl<'a, P: Step1Plane> Step1Scan<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::PathConditional;
     use vlpp_predict::{BranchObserver, ConditionalPredictor};
 
     /// A workload with two conditional branches: one determined by the
@@ -832,7 +828,7 @@ mod tests {
         // The long-need branch must be nearly perfectly predicted with
         // the chosen assignment: verify via a fresh simulation.
         let test_trace = two_needs_trace(800, 99);
-        let mut p = PathConditional::new(config().path, report.assignment);
+        let mut p = CondKernel::new(&config().path, &report.assignment);
         let mut misses = 0u64;
         let mut total = 0u64;
         for record in test_trace.iter() {
@@ -863,7 +859,7 @@ mod tests {
         let report = ProfileBuilder::new(cfg.clone()).profile_conditional(&profile_trace);
 
         let run = |assignment: HashAssignment| -> u64 {
-            let mut p = PathConditional::new(cfg.path.clone(), assignment);
+            let mut p = CondKernel::new(&cfg.path, &assignment);
             let mut misses = 0;
             for record in test_trace.iter() {
                 if record.is_conditional() {

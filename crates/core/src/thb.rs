@@ -133,6 +133,23 @@ impl Thb {
     pub fn clear(&mut self) {
         self.targets.clear();
     }
+
+    /// The recorded compressed targets, newest first — what the §6
+    /// history stack saves at a call.
+    pub fn snapshot(&self) -> Vec<u64> {
+        self.targets.iter().copied().collect()
+    }
+
+    /// Replaces the recorded targets with a [`snapshot`](Self::snapshot).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot holds more targets than the capacity.
+    pub fn restore(&mut self, snapshot: &[u64]) {
+        assert!(snapshot.len() <= self.capacity, "snapshot exceeds the THB capacity");
+        self.targets.clear();
+        self.targets.extend(snapshot);
+    }
 }
 
 #[cfg(test)]
@@ -204,6 +221,17 @@ mod tests {
         thb.push(Addr::new(0x7 << 2));
         let path: Vec<u64> = thb.path(3).collect();
         assert_eq!(path, vec![0x7, 0, 0]);
+    }
+
+    #[test]
+    fn restore_brings_back_a_snapshot() {
+        let mut thb = Thb::new(4, 16);
+        thb.push(Addr::new(0x7 << 2));
+        thb.push(Addr::new(0x8 << 2));
+        let saved = thb.snapshot();
+        thb.push(Addr::new(0x9 << 2));
+        thb.restore(&saved);
+        assert_eq!(thb.path(3).collect::<Vec<_>>(), vec![0x8, 0x7, 0]);
     }
 
     #[test]

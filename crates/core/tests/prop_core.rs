@@ -5,28 +5,29 @@ use std::collections::HashMap;
 use vlpp_check::{check, prop_assert, prop_assert_eq, CheckConfig, Gen};
 use vlpp_core::profile::HashStat;
 use vlpp_core::{
-    hash_path, CounterTable, HashAssignment, IncrementalHashers, PathConditional, PathConfig,
-    PathIndirect, Population, ProfileBuilder, ProfileConfig, TargetTable, Thb,
+    hash_path, HashAssignment, PathConditional, PathConfig, PathIndirect, Population,
+    ProfileBuilder, ProfileConfig, RollingHashers, Thb, MAX_PATH_LENGTH,
 };
-use vlpp_predict::{BranchObserver, ConditionalPredictor, IndirectPredictor};
+use vlpp_predict::{BranchObserver, ConditionalPredictor, Counter2, IndirectPredictor};
 use vlpp_trace::{Addr, BranchKind, BranchRecord, Trace};
 
-/// The §4.1 partial-sum registers compute exactly the §3.3 hashes, for
-/// every index width, THB capacity, path length, and target stream.
+/// The §4.1 incremental evaluation ([`RollingHashers`]) computes exactly
+/// the §3.3 hashes, for every index width, register count, path length,
+/// and target stream.
 #[test]
 fn incremental_hashers_equal_direct_evaluation() {
     check("incremental_hashers_equal_direct_evaluation", CheckConfig::default(), |g| {
         let k = g.range_u32(1, 24);
-        let capacity = g.range_usize(1, 32);
+        let count = g.range_usize(1, MAX_PATH_LENGTH);
         let targets = g.vec(1, 120, |g| g.u64());
-        let mut thb = Thb::new(capacity, k);
-        let mut inc = IncrementalHashers::new(capacity, k);
+        let mut thb = Thb::new(MAX_PATH_LENGTH, k);
+        let mut rolling = RollingHashers::new(count, k);
         for &raw in &targets {
             let t = Addr::new(raw);
             thb.push(t);
-            inc.push(t);
-            for len in 1..=capacity {
-                prop_assert_eq!(inc.index(len), hash_path(&thb, len), "len {}", len);
+            rolling.push(t);
+            for len in 1..=count {
+                prop_assert_eq!(rolling.index(len), hash_path(&thb, len), "len {}", len);
             }
         }
         Ok(())
@@ -39,13 +40,11 @@ fn hash_indices_fit_index_width() {
     check("hash_indices_fit_index_width", CheckConfig::default(), |g| {
         let k = g.range_u32(1, 30);
         let targets = g.vec(1, 60, |g| g.u64());
-        let mut inc = IncrementalHashers::new(8, k);
+        let mut rolling = RollingHashers::new(8, k);
         for &raw in &targets {
-            inc.push(Addr::new(raw));
-            for &index in inc.indices() {
-                if k < 64 {
-                    prop_assert!(index < (1u64 << k));
-                }
+            rolling.push(Addr::new(raw));
+            for x in 1..=8 {
+                prop_assert!(rolling.index(x) < (1u64 << k));
             }
         }
         Ok(())
@@ -149,16 +148,15 @@ fn profiling_respects_hash_set() {
 /// Step 1 (packed per-hash planes, dense branch ids, rolling partial
 /// sums, blocked hash-major scoring) produces exactly the per-hash
 /// totals and per-branch candidates of the straightforward
-/// implementation: one separately-allocated [`CounterTable`] /
-/// [`TargetTable`] per configured hash number, driven record by record
-/// through [`IncrementalHashers`].
+/// implementation: one plain table per configured hash number, driven
+/// record by record through [`hash_path`] over a [`Thb`].
 #[test]
 fn fused_step1_matches_per_table_reference() {
     check("fused_step1_matches_per_table_reference", CheckConfig::default(), |g| {
         let trace = random_trace(g.u64(), 500);
-        let mut path = PathConfig::new(g.range_u32(2, 10));
-        path.thb_capacity = g.range_usize(1, 16);
-        let hash_set = sparse_hash_set(g, path.thb_capacity);
+        let path = PathConfig::new(g.range_u32(2, 10));
+        let top = g.range_usize(1, 16);
+        let hash_set = sparse_hash_set(g, top);
         let config = ProfileConfig::new(path.clone())
             .with_hash_set(hash_set.clone())
             .with_candidates(g.range_usize(1, 4));
@@ -190,11 +188,11 @@ fn fused_step1_matches_per_table_reference() {
 }
 
 /// The whole heuristic — step 1 plus step 2 on the kernels — produces
-/// exactly the report of the reference heuristic built on the boxed
-/// predictors: same assignment, default hash, step-1 totals and branch
-/// count, over random structures, hash sets, candidate and iteration
-/// counts, recording policies and history stacks, for both
-/// populations.
+/// exactly the report of the reference heuristic built on the
+/// direct-definition predictors: same assignment, default hash, step-1
+/// totals and branch count, over random structures, hash sets,
+/// candidate and iteration counts, recording policies and history
+/// stacks, for both populations.
 #[test]
 fn profile_builder_matches_boxed_reference() {
     check("profile_builder_matches_boxed_reference", CheckConfig::default(), |g| {
@@ -203,12 +201,12 @@ fn profile_builder_matches_boxed_reference() {
         let length = if g.below(8) == 0 { 40_000 } else { g.range_usize(0, 800) };
         let trace = call_return_trace(g.u64(), length);
         let mut path = PathConfig::new(g.range_u32(4, 16));
-        path.thb_capacity = g.range_usize(1, 32);
+        let top = g.range_usize(1, MAX_PATH_LENGTH);
         path.store_returns = g.bool();
         if g.bool() {
             path = path.with_history_stack(g.range_usize(1, 8));
         }
-        let hash_set = sparse_hash_set(g, path.thb_capacity);
+        let hash_set = sparse_hash_set(g, top);
         let config = ProfileConfig::new(path)
             .with_hash_set(hash_set)
             .with_candidates(g.range_usize(1, 4))
@@ -232,19 +230,19 @@ fn profile_builder_matches_boxed_reference() {
     });
 }
 
-/// A random non-empty strictly-increasing subset of `1..=capacity`.
-fn sparse_hash_set(g: &mut Gen, capacity: usize) -> Vec<u8> {
-    let mut hash_set: Vec<u8> = (1..=capacity as u8).filter(|_| g.below(2) == 0).collect();
+/// A random non-empty strictly-increasing subset of `1..=top`.
+fn sparse_hash_set(g: &mut Gen, top: usize) -> Vec<u8> {
+    let mut hash_set: Vec<u8> = (1..=top as u8).filter(|_| g.below(2) == 0).collect();
     if hash_set.is_empty() {
-        hash_set.push(g.range_u8(1, capacity as u8));
+        hash_set.push(g.range_u8(1, top as u8));
     }
     hash_set
 }
 
 /// The §3.5 heuristic as a straightforward reference: per-table step 1
 /// ([`reference_step1`]), candidates by sorting each branch's tallies,
-/// and step 2 on the boxed [`PathConditional`] / [`PathIndirect`] with
-/// per-branch miss maps.
+/// and step 2 on the reference [`PathConditional`] / [`PathIndirect`]
+/// with per-branch miss maps.
 struct ReferenceProfile {
     assignment: HashAssignment,
     default_hash: u8,
@@ -296,7 +294,8 @@ fn reference_profile(config: &ProfileConfig, trace: &Trace, conditional: bool) -
     }
 }
 
-/// Per-branch misprediction counts of the boxed predictor over `trace`.
+/// Per-branch misprediction counts of the reference predictor over
+/// `trace`.
 fn boxed_misses(
     path: &PathConfig,
     assignment: HashAssignment,
@@ -343,22 +342,22 @@ fn reference_candidates(
         .collect()
 }
 
-/// The pre-fusion step-1 implementation, reconstructed from the public
-/// per-table API: one private [`CounterTable`] (conditional) or
-/// [`TargetTable`] (indirect) per hash number, each predicting and
-/// training at its own hash index on every relevant record. Returns
-/// the per-hash totals and each branch's correct count per hash.
+/// Step 1 straight from the paper: one private table per hash number
+/// — a `Vec<Counter2>` (conditional) or `Vec<Option<u64>>` of targets
+/// (indirect) — each predicting and training at `hash_path(&thb, X)`
+/// on every relevant record. Returns the per-hash totals and each
+/// branch's correct count per hash.
 fn reference_step1(
     path: &PathConfig,
     hash_set: &[u8],
     trace: &Trace,
     conditional: bool,
 ) -> (Vec<HashStat>, HashMap<u64, Vec<u64>>) {
-    let mut hashers = IncrementalHashers::new(path.thb_capacity, path.index_bits);
-    let mut counters: Vec<CounterTable> =
-        hash_set.iter().map(|_| CounterTable::new(path.index_bits)).collect();
-    let mut targets: Vec<TargetTable> =
-        hash_set.iter().map(|_| TargetTable::new(path.index_bits)).collect();
+    let entries = 1usize << path.index_bits;
+    let (counter_len, target_len) = if conditional { (entries, 0) } else { (0, entries) };
+    let mut thb = Thb::new(MAX_PATH_LENGTH, path.index_bits);
+    let mut counters = vec![vec![Counter2::default(); counter_len]; hash_set.len()];
+    let mut targets = vec![vec![None::<u64>; target_len]; hash_set.len()];
     let mut stats: Vec<HashStat> =
         hash_set.iter().map(|&hash| HashStat { hash, predictions: 0, correct: 0 }).collect();
     let mut tallies: HashMap<u64, Vec<u64>> = HashMap::new();
@@ -367,14 +366,16 @@ fn reference_step1(
         if relevant {
             let tally = tallies.entry(record.pc().raw()).or_insert_with(|| vec![0; hash_set.len()]);
             for (hi, &hash) in hash_set.iter().enumerate() {
-                let index = hashers.index(hash as usize);
+                let index = hash_path(&thb, hash as usize) as usize;
                 let correct = if conditional {
-                    let correct = counters[hi].predict(index) == record.taken();
-                    counters[hi].train(index, record.taken());
+                    let counter = &mut counters[hi][index];
+                    let correct = counter.predict_taken() == record.taken();
+                    counter.update(record.taken());
                     correct
                 } else {
-                    let correct = targets[hi].predict(index, record.pc()) == record.target();
-                    targets[hi].train(index, record.target());
+                    let slot = &mut targets[hi][index];
+                    let correct = slot.unwrap_or(0) == record.target().raw();
+                    *slot = Some(record.target().raw());
                     correct
                 };
                 stats[hi].predictions += 1;
@@ -383,7 +384,7 @@ fn reference_step1(
             }
         }
         if record.enters_thb() || (path.store_returns && record.kind() == BranchKind::Return) {
-            hashers.push(record.target());
+            thb.push(record.target());
         }
     }
     (stats, tallies)

@@ -1,29 +1,30 @@
-//! The differential test layer pinning the structure-of-arrays
-//! throughput kernels bit-for-bit to the boxed reference predictors,
-//! plus the §4.1 incremental-hashing properties the kernel's O(1)
-//! lookup rests on.
+//! The differential test layer pinning the kernels bit-for-bit to the
+//! direct-definition reference predictors, plus the §4.1 properties
+//! the kernel's O(1) lookup rests on.
 //!
 //! Seeded configurations × synthetic traces drive [`CondKernel`] /
 //! [`IndKernel`] and [`PathConditional`] / [`PathIndirect`] side by
 //! side and assert that per-record predictions, final counter/target
 //! state, and final statistics are exactly equal — not approximately,
-//! not statistically: any single differing bit fails the property.
+//! not statistically: any single differing bit fails the property. The
+//! reference re-hashes a THB with [`hash_path`] (§3.3) on every lookup,
+//! and [`RollingHashers`] (§4.1) is pinned straight to the same
+//! function, so neither side borrows the other's arithmetic.
 
 use std::collections::HashMap;
 
 use vlpp_check::{check, prop_assert, prop_assert_eq, CheckConfig};
 use vlpp_core::{
-    hash_path, CondKernel, HashAssignment, IncrementalHashers, IndKernel, PathConditional,
-    PathConfig, PathIndirect, Thb, MAX_PATH_LENGTH,
+    hash_path, CondKernel, HashAssignment, IndKernel, PathConditional, PathConfig, PathIndirect,
+    RollingHashers, Thb, MAX_PATH_LENGTH,
 };
 use vlpp_predict::{BranchObserver, ConditionalPredictor, IndirectPredictor};
 use vlpp_trace::{Addr, BranchRecord, Trace};
 
-/// A random predictor configuration: index width, THB capacity, the
-/// §3.2 returns policy, and (sometimes) a §6 history stack.
+/// A random predictor configuration: index width, the §3.2 returns
+/// policy, and (sometimes) a §6 history stack.
 fn random_config(g: &mut vlpp_check::Gen) -> PathConfig {
     let mut config = PathConfig::new(g.range_u32(2, 12));
-    config.thb_capacity = g.range_usize(1, MAX_PATH_LENGTH);
     config.store_returns = g.below(2) == 0;
     if g.below(2) == 0 {
         config.history_stack_depth = Some(g.range_usize(1, 8));
@@ -32,9 +33,8 @@ fn random_config(g: &mut vlpp_check::Gen) -> PathConfig {
 }
 
 /// A random hash assignment over the small pc universe
-/// [`random_trace`] draws branches from. Hash numbers deliberately
-/// range over all of `1..=32` so some exceed the THB capacity and
-/// exercise the clamp.
+/// [`random_trace`] draws branches from, with hash numbers over all of
+/// `1..=32`.
 fn random_assignment(g: &mut vlpp_check::Gen) -> HashAssignment {
     let mut assignment = HashAssignment::fixed(g.range_u8(1, 32));
     for _ in 0..g.range_usize(0, 12) {
@@ -68,7 +68,7 @@ fn random_trace(g: &mut vlpp_check::Gen, n: usize) -> Trace {
     trace
 }
 
-/// The SoA conditional kernel is bit-identical to the boxed reference:
+/// The conditional kernel is bit-identical to the reference:
 /// every per-record prediction and correctness verdict, the final
 /// packed counter plane vs the reference table, and the final totals
 /// and per-branch statistics.
@@ -114,7 +114,7 @@ fn cond_kernel_is_bit_identical_to_boxed_reference() {
     });
 }
 
-/// The SoA indirect kernel is bit-identical to the boxed reference:
+/// The indirect kernel is bit-identical to the reference:
 /// every per-record target prediction, the final packed target plane vs
 /// the reference table, and the final statistics.
 #[test]
@@ -186,13 +186,12 @@ fn kernel_trait_protocol_matches_fused_apply() {
 /// Deeply nested (and unbalanced) call/return streams keep the kernel
 /// and reference in lockstep: stack overflow drops the oldest frame,
 /// returns with an empty stack are no-ops, and restores roll the
-/// registers back identically on both sides.
+/// history back identically on both sides (the rolling registers on
+/// one, the THB contents on the other).
 #[test]
 fn kernel_matches_reference_under_deep_call_return_nesting() {
     check("kernel_matches_reference_under_deep_call_return_nesting", CheckConfig::default(), |g| {
-        let mut config =
-            PathConfig::new(g.range_u32(4, 10)).with_history_stack(g.range_usize(1, 3));
-        config.thb_capacity = g.range_usize(1, 16);
+        let config = PathConfig::new(g.range_u32(4, 10)).with_history_stack(g.range_usize(1, 3));
         let assignment = random_assignment(g);
         let mut kernel = CondKernel::new(&config, &assignment);
         let mut reference = PathConditional::new(config, assignment);
@@ -219,31 +218,44 @@ fn kernel_matches_reference_under_deep_call_return_nesting() {
     });
 }
 
-/// §4.1 soundness, step by step: after every push, each partial-sum
-/// register `I_X` equals a from-scratch §3.3 re-hash of the THB's
-/// current path — including at and past the history-length boundary,
-/// where the sliding window starts dropping old targets.
+/// A random index width: anything in `1..=63`, or the full `k = 64`
+/// a quarter of the time (the width where the rotate needs no mask).
+fn random_width(g: &mut vlpp_check::Gen) -> u32 {
+    if g.below(4) == 0 {
+        64
+    } else {
+        g.range_u32(1, 63)
+    }
+}
+
+/// §4.1 soundness, step by step: after every push, each rolling index
+/// `I_X` equals a from-scratch §3.3 re-hash of the THB's current path —
+/// during warmup (fewer targets than `X`), at the history-length
+/// boundary, and past it, for any register count (the kernel sizes its
+/// ring to the longest hash it is assigned).
 #[test]
 fn partial_sums_equal_rehash_after_every_step() {
     check("partial_sums_equal_rehash_after_every_step", CheckConfig::default(), |g| {
-        let k = g.range_u32(1, 28);
-        let capacity = g.range_usize(1, MAX_PATH_LENGTH);
-        // Push well past the capacity so every register crosses its
-        // history-length boundary (the wrap from a partially-filled to
-        // a saturated window).
-        let targets = g.vec(capacity + 1, capacity * 2 + 40, |g| g.u64());
-        let mut thb = Thb::new(capacity, k);
-        let mut inc = IncrementalHashers::new(capacity, k);
+        let k = random_width(g);
+        let count = g.range_usize(1, MAX_PATH_LENGTH);
+        // The first pushes are warmup; pushing well past the count
+        // makes every index cross its history-length boundary.
+        let targets = g.vec(count + 1, count * 2 + 40, |g| g.u64());
+        let mut thb = Thb::new(MAX_PATH_LENGTH, k);
+        let mut rolling = RollingHashers::new(count, k);
+        for x in 1..=count {
+            prop_assert_eq!(rolling.index(x), hash_path(&thb, x), "empty history, length {}", x);
+        }
         for (step, &raw) in targets.iter().enumerate() {
             let t = Addr::new(raw);
             thb.push(t);
-            inc.push(t);
-            for len in 1..=capacity {
+            rolling.push(t);
+            for x in 1..=count {
                 prop_assert_eq!(
-                    inc.index(len),
-                    hash_path(&thb, len),
-                    "register {} at step {}",
-                    len,
+                    rolling.index(x),
+                    hash_path(&thb, x),
+                    "length {} at step {}",
+                    x,
                     step
                 );
             }
@@ -252,99 +264,51 @@ fn partial_sums_equal_rehash_after_every_step() {
     });
 }
 
-/// §4.1 rollback: restoring a snapshot rewinds every register to its
-/// exact value at the snapshot point, and the recurrence then evolves
-/// from the restored state exactly as it evolved from the original —
+/// §4.1 rollback: restoring a snapshot rewinds every index to the §3.3
+/// hash of the path at the snapshot point, and from there the indices
+/// evolve exactly as the hash of a path that never took the detour —
 /// the property the §6 history stack (and crash-safe resume) rely on.
 #[test]
 fn snapshot_restore_rolls_registers_back_exactly() {
     check("snapshot_restore_rolls_registers_back_exactly", CheckConfig::default(), |g| {
-        let k = g.range_u32(1, 28);
-        let capacity = g.range_usize(1, MAX_PATH_LENGTH);
+        let k = random_width(g);
+        let count = g.range_usize(1, MAX_PATH_LENGTH);
         let prefix = g.vec(0, 40, |g| g.u64());
         let detour = g.vec(1, 40, |g| g.u64());
         let suffix = g.vec(0, 40, |g| g.u64());
 
-        let mut inc = IncrementalHashers::new(capacity, k);
+        let mut thb = Thb::new(MAX_PATH_LENGTH, k);
+        let mut rolling = RollingHashers::new(count, k);
         for &raw in &prefix {
-            inc.push(Addr::new(raw));
+            thb.push(Addr::new(raw));
+            rolling.push(Addr::new(raw));
         }
-        let snapshot = inc.snapshot();
+        let snapshot = rolling.snapshot();
         for &raw in &detour {
-            inc.push(Addr::new(raw));
+            rolling.push(Addr::new(raw));
         }
-        inc.restore(&snapshot);
-        prop_assert_eq!(inc.indices(), &snapshot[..], "registers after rollback");
-
-        // From the restored state, the future must look exactly as it
-        // would have had the detour never happened.
-        let mut replay = IncrementalHashers::new(capacity, k);
-        for &raw in prefix.iter().chain(&suffix) {
-            replay.push(Addr::new(raw));
+        rolling.restore(&snapshot);
+        for x in 1..=count {
+            prop_assert_eq!(rolling.index(x), hash_path(&thb, x), "length {} after rollback", x);
         }
         for &raw in &suffix {
-            inc.push(Addr::new(raw));
+            thb.push(Addr::new(raw));
+            rolling.push(Addr::new(raw));
         }
-        prop_assert_eq!(inc.indices(), replay.indices(), "post-rollback evolution");
-        Ok(())
-    });
-}
-
-/// Register-file truncation is sound: because the §4.1 recurrence for
-/// `I_X` reads only registers below `X`, a hasher truncated to `m`
-/// registers maintains exactly the first `m` registers of the
-/// full-capacity hasher through arbitrary pushes — the property that
-/// lets the kernel size its register file to the longest hash actually
-/// assigned.
-#[test]
-fn truncated_registers_match_full_capacity_prefix() {
-    check("truncated_registers_match_full_capacity_prefix", CheckConfig::default(), |g| {
-        let k = g.range_u32(1, 28);
-        let m = g.range_usize(1, MAX_PATH_LENGTH);
-        let targets = g.vec(0, 100, |g| g.u64());
-        let mut truncated = IncrementalHashers::new(m, k);
-        let mut full = IncrementalHashers::new(MAX_PATH_LENGTH, k);
-        for &raw in &targets {
-            truncated.push(Addr::new(raw));
-            full.push(Addr::new(raw));
-            prop_assert_eq!(truncated.indices(), &full.indices()[..m]);
+        for x in 1..=count {
+            prop_assert_eq!(
+                rolling.index(x),
+                hash_path(&thb, x),
+                "length {} after post-rollback pushes",
+                x
+            );
         }
-        Ok(())
-    });
-}
-
-/// End-to-end length-boundary check on the kernel itself: a hash number
-/// assigned *above* the THB capacity clamps to the capacity on both
-/// sides, so predictions stay bit-identical at the boundary.
-#[test]
-fn kernel_clamps_overlong_hashes_like_reference() {
-    check("kernel_clamps_overlong_hashes_like_reference", CheckConfig::default(), |g| {
-        let mut config = PathConfig::new(g.range_u32(2, 10));
-        config.thb_capacity = g.range_usize(1, 8);
-        // Every hash number in the assignment exceeds the capacity.
-        let mut assignment = HashAssignment::fixed(g.range_u8(9, 32));
-        for _ in 0..g.range_usize(0, 6) {
-            assignment.assign(Addr::new(0x1000 | (g.below(64) << 2)), g.range_u8(9, 32));
-        }
-        let trace = random_trace(g, 300);
-        let mut kernel = CondKernel::new(&config, &assignment);
-        let mut reference = PathConditional::new(config, assignment);
-        for record in trace.iter() {
-            let got = kernel.apply(record);
-            if record.is_conditional() {
-                let expected = reference.predict(record.pc());
-                reference.train(record.pc(), record.taken());
-                prop_assert_eq!(got.map(|(p, _)| p), Some(expected));
-            }
-            reference.observe(record);
-        }
-        prop_assert_eq!(kernel.counter_values(), reference.counter_values());
         Ok(())
     });
 }
 
 /// The packed planes really are the compact layout they claim: byte
-/// accounting matches the boxed tables entry for entry.
+/// accounting matches the reference tables entry for entry.
 #[test]
 fn kernel_table_bytes_match_reference_accounting() {
     check("kernel_table_bytes_match_reference_accounting", CheckConfig::default(), |g| {

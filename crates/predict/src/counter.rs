@@ -100,7 +100,7 @@ impl Default for Counter2 {
 /// 2-bits-per-entry budget the paper accounts), reads are a shift-mask,
 /// and updates are branchless ([`Counter2::updated`]) read-modify-write
 /// on one word. Every logical counter sees exactly the predict/update
-/// sequence its boxed `Vec<Counter2>` twin would, so the two layouts
+/// sequence its `Vec<Counter2>` twin would, so the two layouts
 /// are bit-for-bit interchangeable — the `vlpp-core` differential
 /// suite pins that.
 ///
@@ -206,7 +206,7 @@ impl CounterPlane {
     }
 
     /// Every counter value in index order — the diagnostic form the
-    /// differential tests compare against the boxed table.
+    /// differential tests compare against the reference table.
     pub fn values(&self) -> Vec<u8> {
         (0..self.len).map(|i| self.value(i)).collect()
     }

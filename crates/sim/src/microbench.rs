@@ -1,6 +1,7 @@
 //! `vlpp microbench` — predictions-per-second microbenchmarks of the
-//! hot loop, comparing the boxed per-record dispatch path against the
-//! structure-of-arrays kernel on identical traces and configurations.
+//! hot loop, comparing the direct-definition reference predictor
+//! (boxed, per-record trait dispatch, a THB re-hashed on every lookup)
+//! against the kernel on identical traces and configurations.
 //!
 //! Four benches run, each printed as one `BENCH {json}` line (the same
 //! stream `scripts/bench_record.sh` collects and `vlpp-metrics-check

@@ -4,10 +4,10 @@
 //! *any* predictor through the standard predict → train → observe
 //! protocol via the traits — the general path every baseline uses.
 //! [`run_path_conditional`] / [`run_path_indirect`] are the throughput
-//! path for the paper's own predictor: they instantiate the
-//! structure-of-arrays kernels from `vlpp-core` and run the fused
-//! per-record step, which the differential suite pins bit-for-bit to
-//! the boxed reference. Both emit the same [`RunStats`]; the kernel
+//! path for the paper's own predictor: they instantiate the kernels
+//! from `vlpp-core` and run the fused per-record step, which the
+//! differential suite pins bit-for-bit to the direct-definition
+//! reference. Both emit the same [`RunStats`]; the kernel
 //! loops additionally publish `sim.predict_ns` and
 //! `sim.records_per_sec` metrics.
 
@@ -141,11 +141,10 @@ fn kernel_stats(
     }
 }
 
-/// Runs the paper's conditional path predictor over a trace through the
-/// structure-of-arrays kernel — the same protocol (and bit-identical
-/// results) as [`run_conditional`] over a boxed
-/// [`PathConditional`](vlpp_core::PathConditional), at a fraction of
-/// the per-record cost.
+/// Runs the paper's conditional path predictor over a trace through
+/// [`CondKernel::apply`] — the same protocol (and bit-identical
+/// results) as [`run_conditional`] over the same kernel, without the
+/// per-record trait calls and `HashMap` probes.
 pub fn run_path_conditional(
     config: &PathConfig,
     assignment: &HashAssignment,
@@ -161,10 +160,9 @@ pub fn run_path_conditional(
     kernel_stats(kernel.predictions(), kernel.mispredictions(), kernel.branch_stats())
 }
 
-/// Runs the paper's indirect path predictor over a trace through the
-/// structure-of-arrays kernel — the same protocol (and bit-identical
-/// results) as [`run_indirect`] over a boxed
-/// [`PathIndirect`](vlpp_core::PathIndirect). Returns are excluded, as
+/// Runs the paper's indirect path predictor over a trace through
+/// [`IndKernel::apply`] — the same protocol (and bit-identical results)
+/// as [`run_indirect`] over the same kernel. Returns are excluded, as
 /// in the paper.
 pub fn run_path_indirect(
     config: &PathConfig,

@@ -114,10 +114,10 @@ impl ToJson for Prediction {
     }
 }
 
-/// The kernel variant one shard owns. Shards run the structure-of-
-/// arrays kernels from `vlpp-core` — the fused per-record step whose
-/// bit-identity to the boxed reference the differential suite pins
-/// (and the loadgen oracle re-proves end-to-end).
+/// The kernel variant one shard owns. Shards run the kernels from
+/// `vlpp-core` — the fused per-record step whose bit-identity to the
+/// direct-definition reference the differential suite pins (and the
+/// loadgen oracle re-proves end-to-end).
 enum ShardPredictor {
     Conditional(CondKernel),
     Indirect(IndKernel),
@@ -144,8 +144,8 @@ impl ShardState {
     /// (predict → score → train on population members, observe on every
     /// record), returning the prediction for population members and
     /// `None` otherwise. This is the same state evolution as
-    /// `runner::run_conditional` / `run_indirect` over the boxed
-    /// reference, record at a time — the kernel is bit-identical.
+    /// `runner::run_conditional` / `run_indirect` over the reference
+    /// predictor, record at a time — the kernel is bit-identical.
     pub fn apply(&mut self, record: &BranchRecord) -> Option<Prediction> {
         match &mut self.predictor {
             ShardPredictor::Conditional(kernel) => {

@@ -149,6 +149,31 @@ fn all_json_output_matches_pinned_digest() {
     );
 }
 
+/// The experiments outside `vlpp all` that run the path predictors
+/// (the §5.3 analysis, the front-end cycle model, the two related-work
+/// comparisons and the §3.4 hardware-selection ablation) are pinned the
+/// same way, one digest each.
+#[test]
+fn experiments_outside_all_match_pinned_digests() {
+    for (id, pinned) in [
+        ("analyze", 0xf299_909f_eb53_ed6d_u64),
+        ("frontend", 0xb071_4181_eae0_8f7b),
+        ("related-cond", 0x0c43_8b06_8742_0277),
+        ("related-ind", 0x72ca_ec35_28dd_0938),
+        ("ablate-select", 0xabb6_76b9_b95b_97ea),
+    ] {
+        let output =
+            vlpp().args([id, "--json", "--scale", "1000000"]).output().expect("binary runs");
+        assert!(
+            output.status.success(),
+            "{id} stderr: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let digest = vlpp_trace::compact::fnv1a64(&output.stdout);
+        assert_eq!(digest, pinned, "`vlpp {id} --json --scale 1000000` digest {digest:#018x}");
+    }
+}
+
 #[test]
 fn all_json_emits_one_object_keyed_by_experiment() {
     let text = std::str::from_utf8(all_json()).expect("utf-8");
