@@ -100,62 +100,6 @@ impl HashAssignment {
         }
         histogram
     }
-
-    /// Serializes the assignment to the text format the workspace uses
-    /// to persist profiling results (the software stand-in for the §4.2
-    /// ISA encoding): a `default <n>` line followed by one
-    /// `<pc-hex> <n>` line per branch, sorted by pc.
-    pub fn to_text(&self) -> String {
-        let mut lines = Vec::with_capacity(self.map.len() + 2);
-        lines.push("# vlpp hash assignment".to_string());
-        lines.push(format!("default {}", self.default));
-        let mut entries: Vec<(&u64, &u8)> = self.map.iter().collect();
-        entries.sort_unstable();
-        for (pc, n) in entries {
-            lines.push(format!("{pc:x} {n}"));
-        }
-        lines.join("\n") + "\n"
-    }
-
-    /// Parses the format produced by [`to_text`](Self::to_text).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first malformed line: missing or
-    /// duplicate `default`, bad hex, or a hash number outside `1..=32`.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut assignment: Option<HashAssignment> = None;
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            let describe = |message: &str| format!("line {}: {message}", lineno + 1);
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some(value) = line.strip_prefix("default ") {
-                if assignment.is_some() {
-                    return Err(describe("duplicate `default` line"));
-                }
-                let n: u8 =
-                    value.trim().parse().map_err(|_| describe("bad default hash number"))?;
-                if n < 1 || n as usize > crate::MAX_PATH_LENGTH {
-                    return Err(describe("default hash number must be in 1..=32"));
-                }
-                assignment = Some(HashAssignment::fixed(n));
-                continue;
-            }
-            let assignment =
-                assignment.as_mut().ok_or_else(|| describe("entry before the `default` line"))?;
-            let (pc_text, n_text) =
-                line.split_once(' ').ok_or_else(|| describe("expected `<pc-hex> <hash>`"))?;
-            let pc = u64::from_str_radix(pc_text.trim(), 16).map_err(|_| describe("bad pc hex"))?;
-            let n: u8 = n_text.trim().parse().map_err(|_| describe("bad hash number"))?;
-            if n < 1 || n as usize > crate::MAX_PATH_LENGTH {
-                return Err(describe("hash number must be in 1..=32"));
-            }
-            assignment.assign(Addr::new(pc), n);
-        }
-        assignment.ok_or_else(|| "missing `default` line".to_string())
-    }
 }
 
 impl fmt::Display for HashAssignment {
@@ -366,48 +310,6 @@ mod tests {
             s.reward(pc, 0, false);
         }
         assert_eq!(s.select(pc), 1);
-    }
-
-    #[test]
-    fn text_round_trip() {
-        let mut a = HashAssignment::fixed(9);
-        a.assign(Addr::new(0x1000), 3);
-        a.assign(Addr::new(0x2040), 32);
-        a.assign(Addr::new(0x4), 1);
-        let text = a.to_text();
-        let back = HashAssignment::from_text(&text).unwrap();
-        assert_eq!(back, a);
-        // And the text itself is stable (sorted).
-        assert_eq!(back.to_text(), text);
-    }
-
-    #[test]
-    fn text_round_trip_fixed_only() {
-        let a = HashAssignment::fixed(17);
-        let back = HashAssignment::from_text(&a.to_text()).unwrap();
-        assert_eq!(back, a);
-        assert!(back.is_fixed());
-    }
-
-    #[test]
-    fn from_text_rejects_malformed_input() {
-        assert!(HashAssignment::from_text("").is_err());
-        assert!(HashAssignment::from_text("10 3\n").is_err(), "entry before default");
-        assert!(HashAssignment::from_text("default 0\n").is_err());
-        assert!(HashAssignment::from_text("default 33\n").is_err());
-        assert!(HashAssignment::from_text("default 4\ndefault 5\n").is_err());
-        assert!(HashAssignment::from_text("default 4\nzz 3\n").is_err());
-        assert!(HashAssignment::from_text("default 4\n10 99\n").is_err());
-        assert!(HashAssignment::from_text("default 4\n10\n").is_err());
-        let err = HashAssignment::from_text("default 4\n10 99\n").unwrap_err();
-        assert!(err.starts_with("line 2"), "errors carry line numbers: {err}");
-    }
-
-    #[test]
-    fn from_text_skips_comments_and_blanks() {
-        let a = HashAssignment::from_text("# hi\n\ndefault 6\n# entry\n40 2\n").unwrap();
-        assert_eq!(a.default_hash(), 6);
-        assert_eq!(a.get(Addr::new(0x40)), 2);
     }
 
     #[test]

@@ -55,12 +55,12 @@ use std::process::{Child, Command, Stdio};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use vlpp_trace::compact::{read_snapshot, write_snapshot, SnapshotSection};
 use vlpp_trace::json::JsonValue;
 use vlpp_trace::VlppError;
 
 use super::loadgen::Client;
 use super::routing::{Node, RoutingTable};
+use super::snapshot::{read_snapshot, write_snapshot, SnapshotSection};
 use super::{sig, ListenSpec};
 use crate::experiment::Scale;
 

@@ -795,7 +795,7 @@ fn execute(verb: Verb, shared: &Shared) -> Result<ExecOutcome, VlppError> {
             // warm-starts to the same empty state.
             let sections = snapshot::encode_models(&models, shared.workloads.scale());
             let mut bytes = Vec::new();
-            vlpp_trace::compact::write_snapshot(&sections, &mut bytes).map_err(|source| {
+            snapshot::write_snapshot(&sections, &mut bytes).map_err(|source| {
                 VlppError::protocol(
                     Some("sync".to_string()),
                     format!("cannot encode the snapshot stream: {source}"),

@@ -65,7 +65,8 @@ impl BranchKind {
         })
     }
 
-    /// Short lowercase name, used by the text trace format.
+    /// Short lowercase name, used by `Display`, JSON and the CSV/JSONL
+    /// ingest formats.
     pub fn name(self) -> &'static str {
         match self {
             BranchKind::Conditional => "cond",
@@ -96,7 +97,7 @@ impl fmt::Display for BranchKind {
 }
 
 impl ToJson for BranchKind {
-    /// Kinds serialize as their short text-format name (`"cond"`, …).
+    /// Kinds serialize as their short name (`"cond"`, …).
     fn to_json(&self) -> JsonValue {
         JsonValue::Str(self.name().to_string())
     }

@@ -1,50 +1,36 @@
-//! The compact binary trace format: branch records are highly local —
-//! consecutive pcs and targets differ by small deltas — so delta +
-//! LEB128 varint encoding shrinks traces by roughly 4–6× versus the
-//! fixed-width [`io`](crate::io) format. Workload caches and long trace
-//! archives use this format.
+//! The compact binary trace format, `VLPC` version 3 — the one native
+//! trace format: `vlpp ingest` converts foreign traces into it, and
+//! `vlpp run` / `vlpp profile` replay it. Branch records are highly
+//! local — consecutive pcs and targets differ by small deltas — so
+//! delta + LEB128 varint encoding stores a typical record in a few
+//! bytes.
 //!
-//! Two on-disk layouts share the `VLPC` magic (`TRACES.md` at the
-//! repository root has the full wire grammar):
-//!
-//! * **version 2** — one header count followed by a flat record stream
-//!   ([`write_compact`]); fine for workload caches that fit in memory.
-//! * **version 3** — the *chunked* layout ([`ChunkedWriter`]): records
-//!   are grouped into independently decodable chunks of at most
-//!   `chunk_cap` records, each prefixed by its record count and payload
-//!   length, so a reader can stream (or skip) a multi-GB trace while
-//!   holding at most one chunk. `vlpp ingest` converts foreign traces
-//!   into this layout.
-//!
-//! [`ChunkedReader`] streams either version through the
-//! [`TraceSource`] interface; [`read_compact`] drains it when an
-//! in-memory [`Trace`] is actually wanted.
-//!
-//! ## Version 2 layout
-//!
-//! ```text
-//! magic   : 4 bytes = b"VLPC"
-//! version : u16 le = 2
-//! reserved: u16 le = 0
-//! count   : u64 le
-//! records : per record:
-//!     tag    : u8 — kind code (low 3 bits) | taken << 3
-//!     pc     : signed LEB128 delta from previous record's pc
-//!     target : signed LEB128 delta from this record's pc
-//! ```
+//! Records are grouped into independently decodable chunks of at most
+//! `chunk_cap` records, each prefixed by its record count and payload
+//! length, so a reader can stream (or skip) a multi-GB trace while
+//! holding at most one chunk. [`ChunkedWriter`] documents the layout
+//! (`TRACES.md` at the repository root has the full wire grammar);
+//! [`ChunkedReader`] streams it through the [`TraceSource`] interface,
+//! and [`TraceSource::read_to_trace`] drains it when an in-memory
+//! [`Trace`](crate::Trace) is actually wanted.
 //!
 //! ## Example
 //!
 //! ```
 //! # use std::error::Error;
 //! # fn main() -> Result<(), Box<dyn Error>> {
-//! use vlpp_trace::{compact, Addr, BranchRecord, Trace};
+//! use vlpp_trace::compact::{ChunkedReader, ChunkedWriter, DEFAULT_CHUNK_RECORDS};
+//! use vlpp_trace::{Addr, BranchRecord, Trace, TraceSource};
 //!
 //! let mut trace = Trace::new();
 //! trace.push(BranchRecord::conditional(Addr::new(0x1000), Addr::new(0x1040), true));
 //! let mut buf = Vec::new();
-//! compact::write_compact(&trace, &mut buf)?;
-//! assert_eq!(compact::read_compact(&buf[..])?, trace);
+//! let mut writer = ChunkedWriter::new(&mut buf, DEFAULT_CHUNK_RECORDS)?;
+//! for record in trace.iter() {
+//!     writer.push(record)?;
+//! }
+//! writer.finish()?;
+//! assert_eq!(ChunkedReader::new(&buf[..])?.read_to_trace()?, trace);
 //! # Ok(())
 //! # }
 //! ```
@@ -53,15 +39,13 @@ use std::io::{Read, Write};
 
 use crate::json::{JsonValue, ToJson};
 use crate::source::TraceSource;
-use crate::{Addr, BranchKind, BranchRecord, Trace, TraceIoError};
+use crate::{Addr, BranchKind, BranchRecord, TraceIoError};
 
 /// Magic bytes identifying a compact vlpp trace.
 pub const MAGIC: [u8; 4] = *b"VLPC";
 
-/// Compact format version (the flat, one-shot layout).
-pub const VERSION: u16 = 2;
-
-/// Compact format version of the chunked streaming layout.
+/// Compact format version of the chunked streaming layout, the only
+/// version this library reads or writes.
 pub const CHUNKED_VERSION: u16 = 3;
 
 /// Hard cap on a chunk's record capacity. Bounds the memory a reader
@@ -74,41 +58,6 @@ pub const DEFAULT_CHUNK_RECORDS: u32 = 1 << 16;
 /// Worst-case encoded size of one record: a tag byte plus two 10-byte
 /// LEB128 varints. Used to bound declared chunk payload lengths.
 const MAX_RECORD_BYTES: u64 = 21;
-
-/// Writes `trace` in the compact delta/varint format.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::Io`] if the underlying writer fails.
-pub fn write_compact<W: Write>(trace: &Trace, mut writer: W) -> Result<(), TraceIoError> {
-    writer.write_all(&MAGIC)?;
-    writer.write_all(&VERSION.to_le_bytes())?;
-    writer.write_all(&0u16.to_le_bytes())?;
-    writer.write_all(&(trace.len() as u64).to_le_bytes())?;
-    let mut buf = Vec::with_capacity(24);
-    let mut previous_pc: u64 = 0;
-    for record in trace.iter() {
-        buf.clear();
-        encode_record(&mut buf, record, &mut previous_pc);
-        writer.write_all(&buf)?;
-    }
-    writer.flush()?;
-    Ok(())
-}
-
-/// Reads a compact trace (either version) into memory.
-///
-/// This drains a [`ChunkedReader`], so it accepts both the flat v2 and
-/// chunked v3 layouts; replay paths that do not need the whole trace
-/// should stream through [`ChunkedReader`] directly.
-///
-/// # Errors
-///
-/// Returns an error for bad magic, an unsupported version, a truncated
-/// stream, or an invalid kind code.
-pub fn read_compact<R: Read>(reader: R) -> Result<Trace, TraceIoError> {
-    ChunkedReader::new(reader)?.read_to_trace()
-}
 
 /// Appends one delta-coded record to `buf` and advances `previous_pc`.
 fn encode_record(buf: &mut Vec<u8>, record: &BranchRecord, previous_pc: &mut u64) {
@@ -172,6 +121,10 @@ impl ToJson for ChunkedSummary {
 ///                   at 0 each chunk, so chunks decode independently
 /// trailer   : records = 0 u32, payload_len = 8 u32, total records u64
 /// ```
+///
+/// A record is a tag byte (kind code in the low 3 bits, taken << 3),
+/// then its pc as a zigzag LEB128 delta from the previous record's pc,
+/// then its target as a delta from its own pc.
 ///
 /// The per-chunk delta reset plus the explicit `payload_len` make every
 /// chunk skippable without decoding — the seekable handle the converter
@@ -290,28 +243,19 @@ pub fn copy_to_chunked<S: TraceSource + ?Sized, W: Write>(
     out.finish()
 }
 
-#[derive(Debug)]
-enum ReaderMode {
-    /// Flat v2 stream: a declared record count, decoded one at a time.
-    V2 { remaining: u64, previous_pc: u64 },
-    /// Chunked v3 stream: decoded one chunk at a time.
-    V3 { chunk_cap: u32 },
-}
-
-/// Streaming reader for compact traces (both layouts), implementing
+/// Streaming reader for chunked compact traces, implementing
 /// [`TraceSource`].
 ///
-/// For the chunked layout the reader holds at most one decoded chunk
-/// (≤ the header's `chunk_cap` records, itself capped at
-/// [`MAX_CHUNK_RECORDS`]); [`peak_buffered_records`] exposes the
-/// high-water mark so tests can assert the bounded-memory guarantee.
-/// Flat v2 streams decode record-by-record and buffer nothing.
+/// The reader holds at most one decoded chunk (≤ the header's
+/// `chunk_cap` records, itself capped at [`MAX_CHUNK_RECORDS`]);
+/// [`peak_buffered_records`] exposes the high-water mark so tests can
+/// assert the bounded-memory guarantee.
 ///
 /// [`peak_buffered_records`]: Self::peak_buffered_records
 #[derive(Debug)]
 pub struct ChunkedReader<R: Read> {
     reader: Counting<R>,
-    mode: ReaderMode,
+    chunk_cap: u32,
     buffer: Vec<BranchRecord>,
     cursor: usize,
     records: u64,
@@ -326,8 +270,8 @@ impl<R: Read> ChunkedReader<R> {
     /// # Errors
     ///
     /// [`TraceIoError::BadMagic`] / [`TraceIoError::UnsupportedVersion`]
-    /// for foreign or future files, [`TraceIoError::Truncated`] for a
-    /// short header, [`TraceIoError::Malformed`] for an impossible
+    /// for foreign, retired or future files, [`TraceIoError::Truncated`]
+    /// for a short header, [`TraceIoError::Malformed`] for an impossible
     /// chunk capacity.
     pub fn new(reader: R) -> Result<Self, TraceIoError> {
         let mut reader = Counting { inner: reader, position: 0 };
@@ -339,26 +283,19 @@ impl<R: Read> ChunkedReader<R> {
             return Err(TraceIoError::BadMagic { found });
         }
         let version = u16::from_le_bytes([header[4], header[5]]);
-        let mode = match version {
-            VERSION => {
-                let count = u64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"));
-                ReaderMode::V2 { remaining: count, previous_pc: 0 }
-            }
-            CHUNKED_VERSION => {
-                let chunk_cap = u32::from_le_bytes(header[8..12].try_into().expect("4-byte slice"));
-                if !(1..=MAX_CHUNK_RECORDS).contains(&chunk_cap) {
-                    return Err(TraceIoError::Malformed {
-                        what: format!("chunk capacity {chunk_cap}"),
-                        byte_offset: 8,
-                    });
-                }
-                ReaderMode::V3 { chunk_cap }
-            }
-            found => return Err(TraceIoError::UnsupportedVersion { found }),
-        };
+        if version != CHUNKED_VERSION {
+            return Err(TraceIoError::UnsupportedVersion { found: version });
+        }
+        let chunk_cap = u32::from_le_bytes(header[8..12].try_into().expect("4-byte slice"));
+        if !(1..=MAX_CHUNK_RECORDS).contains(&chunk_cap) {
+            return Err(TraceIoError::Malformed {
+                what: format!("chunk capacity {chunk_cap}"),
+                byte_offset: 8,
+            });
+        }
         Ok(ChunkedReader {
             reader,
-            mode,
+            chunk_cap,
             buffer: Vec::new(),
             cursor: 0,
             records: 0,
@@ -378,7 +315,7 @@ impl<R: Read> ChunkedReader<R> {
         self.reader.position
     }
 
-    /// Chunks decoded so far (always 0 for a flat v2 stream).
+    /// Chunks decoded so far.
     pub fn chunks_read(&self) -> u64 {
         self.chunks
     }
@@ -389,18 +326,15 @@ impl<R: Read> ChunkedReader<R> {
         self.peak_buffered
     }
 
-    /// The stream's declared chunk capacity (`None` for a flat v2
-    /// stream, which buffers nothing).
-    pub fn chunk_cap(&self) -> Option<u32> {
-        match self.mode {
-            ReaderMode::V2 { .. } => None,
-            ReaderMode::V3 { chunk_cap } => Some(chunk_cap),
-        }
+    /// The stream's declared chunk capacity.
+    pub fn chunk_cap(&self) -> u32 {
+        self.chunk_cap
     }
 
-    /// Loads the next v3 chunk into the buffer, or handles the trailer
-    /// and marks the stream done.
-    fn load_chunk(&mut self, chunk_cap: u32) -> Result<(), TraceIoError> {
+    /// Loads the next chunk into the buffer, or handles the trailer and
+    /// marks the stream done.
+    fn load_chunk(&mut self) -> Result<(), TraceIoError> {
+        let chunk_cap = self.chunk_cap;
         let header_at = self.reader.position;
         let mut header = [0u8; 8];
         self.reader.read_exact_or(&mut header, self.records)?;
@@ -472,6 +406,10 @@ impl<R: Read> ChunkedReader<R> {
                         what: "chunk payload ends mid-record".to_string(),
                         byte_offset: payload_at + byte_offset,
                     },
+                    // Varint offsets are relative to the payload.
+                    TraceIoError::Malformed { what, byte_offset } => {
+                        TraceIoError::Malformed { what, byte_offset: payload_at + byte_offset }
+                    }
                     other => other,
                 })?;
             self.buffer.push(record);
@@ -502,28 +440,13 @@ impl<R: Read> TraceSource for ChunkedReader<R> {
         if self.done {
             return Ok(None);
         }
-        match &mut self.mode {
-            ReaderMode::V2 { remaining, previous_pc } => {
-                if *remaining == 0 {
-                    self.done = true;
-                    return Ok(None);
-                }
-                let record = decode_record(&mut self.reader, self.records, previous_pc)?;
-                *remaining -= 1;
-                self.records += 1;
-                Ok(Some(record))
-            }
-            ReaderMode::V3 { chunk_cap } => {
-                let chunk_cap = *chunk_cap;
-                self.load_chunk(chunk_cap)?;
-                if self.done {
-                    return Ok(None);
-                }
-                let record = self.buffer[self.cursor];
-                self.cursor += 1;
-                Ok(Some(record))
-            }
+        self.load_chunk()?;
+        if self.done {
+            return Ok(None);
         }
+        let record = self.buffer[self.cursor];
+        self.cursor += 1;
+        Ok(Some(record))
     }
 }
 
@@ -541,229 +464,55 @@ fn write_signed(buf: &mut Vec<u8>, value: i64) {
     }
 }
 
+/// Decodes a zigzag + LEB128 signed value of at most 10 bytes.
+///
+/// The tenth byte can carry only bit 63, so one above 1 is either a
+/// continuation past 10 bytes or bits beyond 64; both are
+/// [`TraceIoError::Malformed`] at the varint's first byte.
 fn read_signed<R: Read>(reader: &mut Counting<R>, index: u64) -> Result<i64, TraceIoError> {
+    let start = reader.position;
     let mut zigzag: u64 = 0;
     let mut shift = 0u32;
     loop {
         let byte = reader.read_byte(index)?;
+        if shift == 63 && byte > 1 {
+            return Err(bad_varint(byte, start));
+        }
         zigzag |= ((byte & 0x7f) as u64) << shift;
         if byte & 0x80 == 0 {
             break;
         }
         shift += 7;
-        if shift >= 64 {
-            // A continuation run longer than a u64 is corruption, not a
-            // short read, but either way the stream is unusable here.
-            return Err(TraceIoError::Truncated {
-                records_read: index,
-                byte_offset: reader.position,
-            });
-        }
     }
     Ok(((zigzag >> 1) as i64) ^ -((zigzag & 1) as i64))
 }
 
-/// Magic bytes identifying a vlpp model snapshot envelope.
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"VLPS";
-
-/// Snapshot envelope version.
-pub const SNAPSHOT_VERSION: u16 = 1;
-
-/// Longest section name the envelope accepts, in bytes.
-const MAX_SECTION_NAME_BYTES: usize = 4096;
-
-/// One named, checksummed section of a model snapshot. The envelope
-/// is payload-agnostic: `vlpp-sim` encodes model specs, hash
-/// assignments, and per-shard plane state into sections; this layer
-/// only guarantees integrity and exact-offset error reporting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotSection {
-    /// The section name (`manifest`, `m:<model>:shard:<i>`, …);
-    /// non-empty UTF-8, at most 4096 bytes.
-    pub name: String,
-    /// The raw payload.
-    pub payload: Vec<u8>,
+/// The error for a varint whose tenth byte is `byte`; kept out of line
+/// so the decode loop stays small.
+#[cold]
+fn bad_varint(byte: u8, byte_offset: u64) -> TraceIoError {
+    let what = if byte & 0x80 != 0 {
+        "over-long varint (more than 10 bytes)"
+    } else {
+        "varint overflows 64 bits"
+    };
+    TraceIoError::Malformed { what: what.to_string(), byte_offset }
 }
 
-/// FNV-1a over `bytes` (also reused as a cheap stable string hash by
-/// the cluster routing table). The snapshot envelope's per-section
-/// checksum chains this over the section *name and then the payload*
-/// — see [`section_checksum`] — so a flipped bit in either is caught.
+/// FNV-1a over `bytes`: a cheap, stable 64-bit hash (cluster routing,
+/// output digests, and the snapshot envelope's section checksums).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_continue(0xcbf2_9ce4_8422_2325, bytes)
 }
 
-/// Continues an FNV-1a hash from a prior state.
-fn fnv1a64_continue(mut hash: u64, bytes: &[u8]) -> u64 {
+/// Continues an FNV-1a hash from a prior state, so a hash can chain
+/// over several byte strings without concatenating them.
+pub fn fnv1a64_continue(mut hash: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
         hash ^= byte as u64;
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }
     hash
-}
-
-/// The snapshot envelope's per-section checksum: FNV-1a chained over
-/// the section name and then its payload.
-pub fn section_checksum(section: &SnapshotSection) -> u64 {
-    fnv1a64_continue(fnv1a64(section.name.as_bytes()), &section.payload)
-}
-
-/// Writes a model snapshot envelope:
-///
-/// ```text
-/// magic   : 4 bytes = b"VLPS"
-/// version : u16 le = 1
-/// reserved: u16 le = 0
-/// sections: u32 le
-/// per section:
-///     name_len : u16 le (1..=4096)
-///     name     : UTF-8 bytes
-///     len      : u64 le — total payload bytes
-///     checksum : u64 le — FNV-1a chained over name, then payload
-///     chunks   : repeated [u32 le chunk_len][bytes], each chunk in
-///                1..=MAX_FRAME_BYTES, lengths summing to `len`
-/// ```
-///
-/// Payloads are chunked at
-/// [`frame::MAX_FRAME_BYTES`](crate::frame::MAX_FRAME_BYTES) so a
-/// reader can stream a snapshot
-/// of any size without ever trusting a single length field larger
-/// than the wire-frame cap.
-///
-/// # Panics
-///
-/// Panics if a section name is empty or longer than 4096 bytes (a
-/// caller bug, not a data fault).
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::Io`] if the underlying writer fails.
-pub fn write_snapshot<W: Write>(
-    sections: &[SnapshotSection],
-    mut writer: W,
-) -> Result<(), TraceIoError> {
-    writer.write_all(&SNAPSHOT_MAGIC)?;
-    writer.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
-    writer.write_all(&0u16.to_le_bytes())?;
-    writer.write_all(&(sections.len() as u32).to_le_bytes())?;
-    for section in sections {
-        let name = section.name.as_bytes();
-        assert!(
-            !name.is_empty() && name.len() <= MAX_SECTION_NAME_BYTES,
-            "section name must be 1..={MAX_SECTION_NAME_BYTES} bytes"
-        );
-        writer.write_all(&(name.len() as u16).to_le_bytes())?;
-        writer.write_all(name)?;
-        writer.write_all(&(section.payload.len() as u64).to_le_bytes())?;
-        writer.write_all(&section_checksum(section).to_le_bytes())?;
-        for chunk in section.payload.chunks(crate::frame::MAX_FRAME_BYTES) {
-            writer.write_all(&(chunk.len() as u32).to_le_bytes())?;
-            writer.write_all(chunk)?;
-        }
-    }
-    writer.flush()?;
-    Ok(())
-}
-
-/// Reads a model snapshot envelope written by [`write_snapshot`].
-///
-/// Every structural fault is a typed error carrying the byte offset at
-/// which it was detected: [`TraceIoError::Truncated`] for short reads,
-/// [`TraceIoError::Malformed`] for impossible lengths / non-UTF-8
-/// names / trailing bytes, [`TraceIoError::ChecksumMismatch`] for a
-/// payload that does not hash to its declared checksum. Hostile
-/// length fields never drive a large allocation: payloads grow chunk
-/// by chunk, each chunk capped at the 1 MiB frame limit.
-///
-/// # Errors
-///
-/// See above; plus [`TraceIoError::BadMagic`] /
-/// [`TraceIoError::UnsupportedVersion`] for foreign or future files.
-pub fn read_snapshot<R: Read>(reader: R) -> Result<Vec<SnapshotSection>, TraceIoError> {
-    let mut reader = Counting { inner: reader, position: 0 };
-    let mut header = [0u8; 12];
-    reader.read_exact_or(&mut header, 0)?;
-    if header[0..4] != SNAPSHOT_MAGIC {
-        let mut found = [0u8; 4];
-        found.copy_from_slice(&header[0..4]);
-        return Err(TraceIoError::BadMagic { found });
-    }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != SNAPSHOT_VERSION {
-        return Err(TraceIoError::UnsupportedVersion { found: version });
-    }
-    let count = u32::from_le_bytes(header[8..12].try_into().expect("4-byte slice"));
-    let mut sections = Vec::with_capacity((count as usize).min(4096));
-    for index in 0..count as u64 {
-        let at = reader.position;
-        let mut len_buf = [0u8; 2];
-        reader.read_exact_or(&mut len_buf, index)?;
-        let name_len = u16::from_le_bytes(len_buf) as usize;
-        if name_len == 0 || name_len > MAX_SECTION_NAME_BYTES {
-            return Err(TraceIoError::Malformed {
-                what: format!("section {index} name length {name_len}"),
-                byte_offset: at,
-            });
-        }
-        let mut name = vec![0u8; name_len];
-        reader.read_exact_or(&mut name, index)?;
-        let name = String::from_utf8(name).map_err(|_| TraceIoError::Malformed {
-            what: format!("section {index} name is not UTF-8"),
-            byte_offset: at,
-        })?;
-        let mut fixed = [0u8; 16];
-        reader.read_exact_or(&mut fixed, index)?;
-        let payload_len = u64::from_le_bytes(fixed[0..8].try_into().expect("8-byte slice"));
-        let checksum = u64::from_le_bytes(fixed[8..16].try_into().expect("8-byte slice"));
-        let mut payload =
-            Vec::with_capacity(payload_len.min(crate::frame::MAX_FRAME_BYTES as u64) as usize);
-        let mut remaining = payload_len;
-        while remaining > 0 {
-            let at = reader.position;
-            let mut chunk_buf = [0u8; 4];
-            reader.read_exact_or(&mut chunk_buf, index)?;
-            let chunk_len = u32::from_le_bytes(chunk_buf) as u64;
-            if chunk_len == 0 || chunk_len > crate::frame::MAX_FRAME_BYTES as u64 {
-                return Err(TraceIoError::Malformed {
-                    what: format!("section `{name}` chunk length {chunk_len}"),
-                    byte_offset: at,
-                });
-            }
-            if chunk_len > remaining {
-                return Err(TraceIoError::Malformed {
-                    what: format!(
-                        "section `{name}` chunk length {chunk_len} exceeds the \
-                         {remaining} payload bytes remaining"
-                    ),
-                    byte_offset: at,
-                });
-            }
-            let start = payload.len();
-            payload.resize(start + chunk_len as usize, 0);
-            reader.read_exact_or(&mut payload[start..], index)?;
-            remaining -= chunk_len;
-        }
-        let section = SnapshotSection { name, payload };
-        let found = section_checksum(&section);
-        if found != checksum {
-            return Err(TraceIoError::ChecksumMismatch {
-                section: section.name,
-                expected: checksum,
-                found,
-                byte_offset: reader.position,
-            });
-        }
-        sections.push(section);
-    }
-    let mut probe = [0u8; 1];
-    match reader.inner.read(&mut probe) {
-        Ok(0) => Ok(sections),
-        Ok(_) => Err(TraceIoError::Malformed {
-            what: "trailing bytes after the last section".to_string(),
-            byte_offset: reader.position,
-        }),
-        Err(e) => Err(TraceIoError::Io(e)),
-    }
 }
 
 /// A reader that tracks how many bytes it has consumed, so truncation
@@ -798,6 +547,7 @@ impl<R: Read> Counting<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Trace;
 
     fn sample() -> Trace {
         let mut t = Trace::new();
@@ -812,210 +562,57 @@ mod tests {
         t
     }
 
-    #[test]
-    fn round_trips() {
-        let t = sample();
+    fn chunked_bytes(trace: &Trace, cap: u32) -> (Vec<u8>, ChunkedSummary) {
         let mut buf = Vec::new();
-        write_compact(&t, &mut buf).unwrap();
-        assert_eq!(read_compact(&buf[..]).unwrap(), t);
+        let summary =
+            copy_to_chunked(&mut crate::source::MemorySource::new(trace.clone()), &mut buf, cap)
+                .unwrap();
+        (buf, summary)
     }
 
-    #[test]
-    fn round_trips_empty() {
-        let mut buf = Vec::new();
-        write_compact(&Trace::new(), &mut buf).unwrap();
-        assert_eq!(read_compact(&buf[..]).unwrap(), Trace::new());
-    }
-
-    #[test]
-    fn is_much_smaller_than_v1_for_local_traces() {
-        let t = sample();
-        let mut v1 = Vec::new();
-        crate::io::write_binary(&t, &mut v1).unwrap();
-        let mut v2 = Vec::new();
-        write_compact(&t, &mut v2).unwrap();
-        assert!(
-            v2.len() * 3 < v1.len(),
-            "compact ({}) should be at least 3x smaller than v1 ({})",
-            v2.len(),
-            v1.len()
-        );
+    fn read(bytes: &[u8]) -> Result<Trace, TraceIoError> {
+        ChunkedReader::new(bytes)?.read_to_trace()
     }
 
     #[test]
     fn rejects_v1_magic() {
-        let mut v1 = Vec::new();
-        crate::io::write_binary(&sample(), &mut v1).unwrap();
-        assert!(matches!(read_compact(&v1[..]).unwrap_err(), TraceIoError::BadMagic { .. }));
+        // A retired fixed-width `VLPT` header is a foreign file now.
+        let mut v1 = b"VLPT".to_vec();
+        v1.extend_from_slice(&1u16.to_le_bytes());
+        v1.extend_from_slice(&[0; 10]);
+        assert!(matches!(
+            read(&v1).unwrap_err(),
+            TraceIoError::BadMagic { found } if &found == b"VLPT"
+        ));
     }
 
     #[test]
     fn rejects_bad_version() {
-        let mut buf = Vec::new();
-        write_compact(&Trace::new(), &mut buf).unwrap();
-        buf[4] = 9;
-        assert!(matches!(
-            read_compact(&buf[..]).unwrap_err(),
-            TraceIoError::UnsupportedVersion { found: 9 }
-        ));
+        // 2 is the retired flat layout, 9 a future one.
+        for version in [2u16, 9] {
+            let (mut buf, _) = chunked_bytes(&sample(), 16);
+            buf[4..6].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                read(&buf).unwrap_err(),
+                TraceIoError::UnsupportedVersion { found } if found == version
+            ));
+        }
     }
 
     #[test]
     fn detects_truncation() {
-        let mut buf = Vec::new();
-        write_compact(&sample(), &mut buf).unwrap();
+        let (mut buf, _) = chunked_bytes(&sample(), 16);
         buf.truncate(buf.len() - 1);
-        assert!(matches!(read_compact(&buf[..]).unwrap_err(), TraceIoError::Truncated { .. }));
+        assert!(matches!(read(&buf).unwrap_err(), TraceIoError::Truncated { .. }));
     }
 
     #[test]
     fn detects_bad_kind() {
-        let mut buf = Vec::new();
         let mut t = Trace::new();
         t.push(BranchRecord::call(Addr::new(4), Addr::new(8)));
-        write_compact(&t, &mut buf).unwrap();
-        buf[16] = 0x7; // kind code 7 is invalid
-        assert!(matches!(
-            read_compact(&buf[..]).unwrap_err(),
-            TraceIoError::BadKind { code: 7, index: 0 }
-        ));
-    }
-
-    fn snapshot_sample() -> Vec<SnapshotSection> {
-        vec![
-            SnapshotSection { name: "manifest".into(), payload: b"{\"version\":1}".to_vec() },
-            SnapshotSection { name: "m:loadgen:shard:0".into(), payload: vec![0xab; 100_000] },
-            SnapshotSection { name: "empty".into(), payload: Vec::new() },
-        ]
-    }
-
-    #[test]
-    fn snapshot_round_trips() {
-        let sections = snapshot_sample();
-        let mut buf = Vec::new();
-        write_snapshot(&sections, &mut buf).unwrap();
-        assert_eq!(read_snapshot(&buf[..]).unwrap(), sections);
-    }
-
-    #[test]
-    fn snapshot_round_trips_multi_chunk_payloads() {
-        // A payload over the 1 MiB frame cap must stream as several
-        // chunks and reassemble losslessly.
-        let big = SnapshotSection {
-            name: "m:x:shard:1".into(),
-            payload: (0..3 * crate::frame::MAX_FRAME_BYTES + 17).map(|i| i as u8).collect(),
-        };
-        let mut buf = Vec::new();
-        write_snapshot(std::slice::from_ref(&big), &mut buf).unwrap();
-        let chunk_lens: Vec<usize> = {
-            // Count chunk headers: every chunk but the last is exactly
-            // the frame cap.
-            let mut lens = Vec::new();
-            let mut remaining = big.payload.len();
-            while remaining > 0 {
-                let chunk = remaining.min(crate::frame::MAX_FRAME_BYTES);
-                lens.push(chunk);
-                remaining -= chunk;
-            }
-            lens
-        };
-        assert_eq!(chunk_lens.len(), 4, "3 full chunks + 1 tail");
-        assert_eq!(read_snapshot(&buf[..]).unwrap(), vec![big]);
-    }
-
-    #[test]
-    fn snapshot_rejects_trace_magic() {
-        let mut trace_bytes = Vec::new();
-        write_compact(&sample(), &mut trace_bytes).unwrap();
-        assert!(matches!(
-            read_snapshot(&trace_bytes[..]).unwrap_err(),
-            TraceIoError::BadMagic { found } if &found == b"VLPC"
-        ));
-    }
-
-    #[test]
-    fn snapshot_rejects_future_version() {
-        let mut buf = Vec::new();
-        write_snapshot(&snapshot_sample(), &mut buf).unwrap();
-        buf[4] = 99;
-        assert!(matches!(
-            read_snapshot(&buf[..]).unwrap_err(),
-            TraceIoError::UnsupportedVersion { found: 99 }
-        ));
-    }
-
-    #[test]
-    fn snapshot_detects_payload_corruption_with_offset() {
-        let mut buf = Vec::new();
-        write_snapshot(&snapshot_sample(), &mut buf).unwrap();
-        // Flip one payload byte deep inside the big section.
-        let victim = buf.len() - 50_000;
-        buf[victim] ^= 0x40;
-        match read_snapshot(&buf[..]).unwrap_err() {
-            TraceIoError::ChecksumMismatch { section, byte_offset, .. } => {
-                assert_eq!(section, "m:loadgen:shard:0");
-                assert!(byte_offset > 0);
-            }
-            other => panic!("expected checksum mismatch, got {other}"),
-        }
-    }
-
-    #[test]
-    fn snapshot_detects_truncation_with_offset() {
-        let mut buf = Vec::new();
-        write_snapshot(&snapshot_sample(), &mut buf).unwrap();
-        buf.truncate(buf.len() / 2);
-        match read_snapshot(&buf[..]).unwrap_err() {
-            TraceIoError::Truncated { byte_offset, .. } => {
-                assert!(byte_offset > 0 && byte_offset <= buf.len() as u64);
-            }
-            other => panic!("expected truncation, got {other}"),
-        }
-    }
-
-    #[test]
-    fn snapshot_rejects_trailing_bytes() {
-        let mut buf = Vec::new();
-        write_snapshot(&snapshot_sample(), &mut buf).unwrap();
-        buf.push(0);
-        assert!(matches!(
-            read_snapshot(&buf[..]).unwrap_err(),
-            TraceIoError::Malformed { what, .. } if what.contains("trailing")
-        ));
-    }
-
-    #[test]
-    fn snapshot_rejects_oversized_chunk_before_allocating() {
-        // Hand-build an envelope declaring a chunk above the frame cap:
-        // the reader must fail on the length field itself.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&SNAPSHOT_MAGIC);
-        buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&0u16.to_le_bytes());
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&1u16.to_le_bytes());
-        buf.push(b'x');
-        buf.extend_from_slice(&(u64::MAX).to_le_bytes()); // payload len
-        buf.extend_from_slice(&0u64.to_le_bytes()); // checksum
-        buf.extend_from_slice(&(u32::MAX).to_le_bytes()); // chunk len
-        assert!(matches!(
-            read_snapshot(&buf[..]).unwrap_err(),
-            TraceIoError::Malformed { what, .. } if what.contains("chunk length")
-        ));
-    }
-
-    #[test]
-    fn snapshot_rejects_zero_length_section_name() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&SNAPSHOT_MAGIC);
-        buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&0u16.to_le_bytes());
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&0u16.to_le_bytes());
-        assert!(matches!(
-            read_snapshot(&buf[..]).unwrap_err(),
-            TraceIoError::Malformed { what, .. } if what.contains("name length")
-        ));
+        let (mut buf, _) = chunked_bytes(&t, 16);
+        buf[24] = 0x7; // the first payload byte; kind code 7 is invalid
+        assert!(matches!(read(&buf).unwrap_err(), TraceIoError::BadKind { code: 7, index: 0 }));
     }
 
     #[test]
@@ -1024,14 +621,7 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    fn chunked_bytes(trace: &Trace, cap: u32) -> (Vec<u8>, ChunkedSummary) {
-        let mut buf = Vec::new();
-        let summary =
-            copy_to_chunked(&mut crate::source::MemorySource::new(trace.clone()), &mut buf, cap)
-                .unwrap();
-        (buf, summary)
+        assert_eq!(fnv1a64_continue(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
     }
 
     #[test]
@@ -1043,7 +633,7 @@ mod tests {
             assert_eq!(summary.bytes, buf.len() as u64);
             assert_eq!(summary.chunks, (t.len() as u64).div_ceil(cap as u64));
             let mut reader = ChunkedReader::new(&buf[..]).unwrap();
-            assert_eq!(reader.chunk_cap(), Some(cap));
+            assert_eq!(reader.chunk_cap(), cap);
             assert_eq!(reader.read_to_trace().unwrap(), t);
             assert_eq!(reader.records_read(), t.len() as u64);
             assert_eq!(reader.bytes_read(), buf.len() as u64);
@@ -1072,30 +662,7 @@ mod tests {
     fn chunked_round_trips_empty() {
         let (buf, summary) = chunked_bytes(&Trace::new(), 8);
         assert_eq!(summary, ChunkedSummary { records: 0, chunks: 0, bytes: buf.len() as u64 });
-        assert_eq!(read_compact(&buf[..]).unwrap(), Trace::new());
-    }
-
-    #[test]
-    fn read_compact_accepts_both_layouts() {
-        let t = sample();
-        let (chunked, _) = chunked_bytes(&t, 16);
-        assert_eq!(read_compact(&chunked[..]).unwrap(), t);
-        let mut flat = Vec::new();
-        write_compact(&t, &mut flat).unwrap();
-        assert_eq!(read_compact(&flat[..]).unwrap(), t);
-    }
-
-    #[test]
-    fn chunked_reader_streams_flat_v2_without_buffering() {
-        let t = sample();
-        let mut flat = Vec::new();
-        write_compact(&t, &mut flat).unwrap();
-        let mut reader = ChunkedReader::new(&flat[..]).unwrap();
-        assert_eq!(reader.chunk_cap(), None);
-        assert_eq!(reader.read_to_trace().unwrap(), t);
-        assert_eq!(reader.peak_buffered_records(), 0);
-        assert_eq!(reader.chunks_read(), 0);
-        assert_eq!(reader.records_read(), t.len() as u64);
+        assert_eq!(read(&buf).unwrap(), Trace::new());
     }
 
     #[test]
@@ -1115,14 +682,14 @@ mod tests {
         let (mut buf, _) = chunked_bytes(&sample(), 16);
         buf.push(0);
         assert!(matches!(
-            read_compact(&buf[..]).unwrap_err(),
+            read(&buf).unwrap_err(),
             TraceIoError::Malformed { what, .. } if what.contains("trailing")
         ));
         let (mut buf, _) = chunked_bytes(&sample(), 16);
         let total_at = buf.len() - 8;
         buf[total_at] ^= 1;
         assert!(matches!(
-            read_compact(&buf[..]).unwrap_err(),
+            read(&buf).unwrap_err(),
             TraceIoError::Malformed { what, .. } if what.contains("trailer declares")
         ));
     }
@@ -1145,7 +712,7 @@ mod tests {
         let (mut buf, _) = chunked_bytes(&sample(), 16);
         buf[16..20].copy_from_slice(&1000u32.to_le_bytes());
         assert!(matches!(
-            read_compact(&buf[..]).unwrap_err(),
+            read(&buf).unwrap_err(),
             TraceIoError::Malformed { what, .. } if what.contains("above the 16 cap")
         ));
 
@@ -1153,7 +720,7 @@ mod tests {
         let (mut buf, _) = chunked_bytes(&sample(), 16);
         buf[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            read_compact(&buf[..]).unwrap_err(),
+            read(&buf).unwrap_err(),
             TraceIoError::Malformed { what, .. } if what.contains("payload length")
         ));
     }
@@ -1174,7 +741,7 @@ mod tests {
         let declared = t.len() as u32 - 1;
         fewer[16..20].copy_from_slice(&declared.to_le_bytes());
         assert!(matches!(
-            read_compact(&fewer[..]).unwrap_err(),
+            read(&fewer).unwrap_err(),
             TraceIoError::Malformed { what, .. } if what.contains("left over")
         ));
         // And one more than it encodes: the decoder runs off the end of
@@ -1183,7 +750,7 @@ mod tests {
         let declared = t.len() as u32 + 1;
         more[16..20].copy_from_slice(&declared.to_le_bytes());
         assert!(matches!(
-            read_compact(&more[..]).unwrap_err(),
+            read(&more).unwrap_err(),
             TraceIoError::Malformed { what, .. } if what.contains("mid-record")
         ));
     }
@@ -1197,6 +764,57 @@ mod tests {
             let got = read_signed(&mut reader, 0).unwrap();
             assert_eq!(got, value, "value {value}");
             assert_eq!(reader.position, buf.len() as u64);
+        }
+    }
+
+    /// A trace file holding one chunk of one record whose payload is
+    /// `payload`, with a valid trailer.
+    fn one_record_file(payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&CHUNKED_VERSION.to_le_bytes());
+        buf.extend_from_slice(&0u16.to_le_bytes());
+        buf.extend_from_slice(&16u32.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(payload);
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&8u32.to_le_bytes());
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn over_long_varint_is_malformed_at_its_offset() {
+        // A conditional tag, a pc varint of 11 continuation bytes, then
+        // two more bytes of payload: corruption, not a short chunk.
+        let mut payload = vec![0u8];
+        payload.extend_from_slice(&[0x80; 11]);
+        payload.extend_from_slice(&[0x00, 0x00]);
+        let buf = one_record_file(&payload);
+        match read(&buf).unwrap_err() {
+            TraceIoError::Malformed { what, byte_offset } => {
+                assert!(what.contains("over-long varint"), "{what}");
+                assert_eq!(byte_offset, 25, "the pc varint starts after the tag byte");
+            }
+            other => panic!("expected a malformed varint, got {other}"),
+        }
+    }
+
+    #[test]
+    fn overflowing_varint_is_malformed_at_its_offset() {
+        // Ten bytes whose last one carries bits above bit 63.
+        let mut payload = vec![0u8];
+        payload.extend_from_slice(&[0x80; 9]);
+        payload.extend_from_slice(&[0x7e, 0x00]);
+        let buf = one_record_file(&payload);
+        match read(&buf).unwrap_err() {
+            TraceIoError::Malformed { what, byte_offset } => {
+                assert!(what.contains("overflows 64 bits"), "{what}");
+                assert_eq!(byte_offset, 25, "the pc varint starts after the tag byte");
+            }
+            other => panic!("expected a malformed varint, got {other}"),
         }
     }
 }

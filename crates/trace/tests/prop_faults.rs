@@ -1,28 +1,10 @@
-//! Fault-injection property tests: damaged inputs must come back as
-//! typed `Err`s — never as panics, and (for truncation) always carrying
-//! the byte offset where the data ran out.
+//! Fault-injection property tests for the JSON parser: damaged or
+//! arbitrary input must come back as a typed `Err`, never a panic.
+//! (Trace-format fault properties live in `prop_ingest.rs`.)
 
-use vlpp_check::fault::{DataFault, FaultPlan};
-use vlpp_check::{check, prop_assert, CheckConfig, Gen};
-use vlpp_trace::io as trace_io;
+use vlpp_check::fault::FaultPlan;
+use vlpp_check::{check, CheckConfig, Gen};
 use vlpp_trace::json::JsonValue;
-use vlpp_trace::{Addr, BranchKind, BranchRecord, Trace, TraceIoError};
-
-fn arb_record(g: &mut Gen) -> BranchRecord {
-    let kind = *g.choose(&[
-        BranchKind::Conditional,
-        BranchKind::Indirect,
-        BranchKind::Unconditional,
-        BranchKind::Call,
-        BranchKind::Return,
-    ]);
-    let taken = if kind == BranchKind::Conditional { g.bool() } else { true };
-    BranchRecord::new(Addr::new(g.u64()), Addr::new(g.u64()), kind, taken)
-}
-
-fn arb_trace(g: &mut Gen, min_len: usize, max_len: usize) -> Trace {
-    Trace::from(g.vec(min_len, max_len, arb_record))
-}
 
 fn arb_json(g: &mut Gen, depth: usize) -> JsonValue {
     let pick = if depth == 0 { g.below(3) } else { g.below(5) };
@@ -62,102 +44,6 @@ fn json_parser_never_panics_on_arbitrary_bytes() {
         let bytes = g.vec(0, 64, |g| g.u64() as u8);
         if let Ok(text) = String::from_utf8(bytes) {
             let _ = JsonValue::parse(&text);
-        }
-        Ok(())
-    });
-}
-
-/// Bit-flips inside the 6 magic/version header bytes must always
-/// surface as a typed error — a damaged header can never be read as a
-/// (different) valid trace.
-#[test]
-fn binary_header_corruption_is_always_a_typed_error() {
-    check("binary_header_corruption_is_always_a_typed_error", CheckConfig::default(), |g| {
-        let trace = arb_trace(g, 0, 50);
-        let mut buf = Vec::new();
-        trace_io::write_binary(&trace, &mut buf).unwrap();
-        let mut plan = FaultPlan::new(g.u64());
-        for fault in plan.header_faults(6, 6) {
-            let damaged = fault.apply(&buf);
-            prop_assert!(
-                trace_io::read_binary(&damaged[..]).is_err(),
-                "header fault {:?} parsed successfully",
-                fault
-            );
-        }
-        Ok(())
-    });
-}
-
-/// A truncated fixed-width trace errors with the byte offset where data
-/// ran out — and that offset is never past the bytes that survived.
-#[test]
-fn binary_truncation_errors_carry_the_offset() {
-    check("binary_truncation_errors_carry_the_offset", CheckConfig::default(), |g| {
-        let trace = arb_trace(g, 1, 50);
-        let mut buf = Vec::new();
-        trace_io::write_binary(&trace, &mut buf).unwrap();
-        let keep = g.below(buf.len() as u64) as usize;
-        let damaged = DataFault::Truncate { keep }.apply(&buf);
-        match trace_io::read_binary(&damaged[..]) {
-            Err(TraceIoError::Truncated { records_read, byte_offset }) => {
-                prop_assert!(
-                    byte_offset <= keep as u64,
-                    "offset {byte_offset} past the {keep} surviving bytes"
-                );
-                prop_assert!(records_read <= trace.len() as u64);
-            }
-            Err(other) => {
-                return Err(vlpp_check::Failed::new(format!("expected Truncated, got {other:?}")))
-            }
-            Ok(_) => return Err(vlpp_check::Failed::new("truncated trace parsed successfully")),
-        }
-        Ok(())
-    });
-}
-
-/// A truncated compact (delta/varint) trace likewise errors with a
-/// consumed-byte offset instead of panicking mid-varint.
-#[test]
-fn compact_truncation_errors_carry_the_offset() {
-    check("compact_truncation_errors_carry_the_offset", CheckConfig::default(), |g| {
-        let trace = arb_trace(g, 1, 50);
-        let mut buf = Vec::new();
-        vlpp_trace::compact::write_compact(&trace, &mut buf).unwrap();
-        let keep = g.below(buf.len() as u64) as usize;
-        let damaged = DataFault::Truncate { keep }.apply(&buf);
-        match vlpp_trace::compact::read_compact(&damaged[..]) {
-            Err(TraceIoError::Truncated { byte_offset, .. }) => {
-                prop_assert!(
-                    byte_offset <= keep as u64,
-                    "offset {byte_offset} past the {keep} surviving bytes"
-                );
-            }
-            Err(_) => {} // other typed errors (e.g. bad magic at keep=0) are fine
-            Ok(_) => {
-                return Err(vlpp_check::Failed::new("truncated compact trace parsed successfully"))
-            }
-        }
-        Ok(())
-    });
-}
-
-/// The full fault matrix (corrupt anywhere, truncate, splice) against
-/// both binary formats: any outcome is allowed except a panic.
-#[test]
-fn damaged_traces_never_panic_either_reader() {
-    check("damaged_traces_never_panic_either_reader", CheckConfig::default(), |g| {
-        let trace = arb_trace(g, 0, 50);
-        let mut fixed = Vec::new();
-        trace_io::write_binary(&trace, &mut fixed).unwrap();
-        let mut compact = Vec::new();
-        vlpp_trace::compact::write_compact(&trace, &mut compact).unwrap();
-        let mut plan = FaultPlan::new(g.u64());
-        for fault in plan.data_faults(fixed.len().max(1), 9) {
-            let _ = trace_io::read_binary(&fault.apply(&fixed)[..]);
-        }
-        for fault in plan.data_faults(compact.len().max(1), 9) {
-            let _ = vlpp_trace::compact::read_compact(&fault.apply(&compact)[..]);
         }
         Ok(())
     });

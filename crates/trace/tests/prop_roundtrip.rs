@@ -1,7 +1,7 @@
-//! Property tests: serialization round trips and stats invariants.
+//! Property tests: stats, truncation and address-rotation invariants.
+//! (Compact-format round trips live in `prop_ingest.rs`.)
 
 use vlpp_check::{check, prop_assert, prop_assert_eq, CheckConfig, Gen};
-use vlpp_trace::io as trace_io;
 use vlpp_trace::stats::TraceStats;
 use vlpp_trace::{Addr, BranchKind, BranchRecord, Trace};
 
@@ -25,49 +25,6 @@ fn arb_record(g: &mut Gen) -> BranchRecord {
 
 fn arb_trace(g: &mut Gen, max_len: usize) -> Trace {
     Trace::from(g.vec(0, max_len, arb_record))
-}
-
-#[test]
-fn binary_round_trips() {
-    check("binary_round_trips", CheckConfig::default(), |g| {
-        let trace = arb_trace(g, 200);
-        let mut buf = Vec::new();
-        trace_io::write_binary(&trace, &mut buf).unwrap();
-        prop_assert_eq!(trace_io::read_binary(&buf[..]).unwrap(), trace);
-        Ok(())
-    });
-}
-
-#[test]
-fn compact_round_trips() {
-    check("compact_round_trips", CheckConfig::default(), |g| {
-        let trace = arb_trace(g, 200);
-        let mut buf = Vec::new();
-        vlpp_trace::compact::write_compact(&trace, &mut buf).unwrap();
-        prop_assert_eq!(vlpp_trace::compact::read_compact(&buf[..]).unwrap(), trace);
-        Ok(())
-    });
-}
-
-#[test]
-fn text_round_trips() {
-    check("text_round_trips", CheckConfig::default(), |g| {
-        let trace = arb_trace(g, 100);
-        let text = trace_io::write_text(&trace);
-        prop_assert_eq!(trace_io::read_text(&text).unwrap(), trace);
-        Ok(())
-    });
-}
-
-#[test]
-fn binary_size_is_header_plus_records() {
-    check("binary_size_is_header_plus_records", CheckConfig::default(), |g| {
-        let trace = arb_trace(g, 100);
-        let mut buf = Vec::new();
-        trace_io::write_binary(&trace, &mut buf).unwrap();
-        prop_assert_eq!(buf.len(), 16 + 18 * trace.len());
-        Ok(())
-    });
 }
 
 #[test]

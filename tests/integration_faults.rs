@@ -11,7 +11,8 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use vlpp_check::fault::{DataFault, ExecFault, FaultPlan};
-use vlpp_trace::{io as trace_io, Addr, BranchKind, BranchRecord, Trace, VlppError};
+use vlpp_trace::compact::{ChunkedWriter, DEFAULT_CHUNK_RECORDS};
+use vlpp_trace::{Addr, BranchKind, BranchRecord, Trace};
 
 const SCALE: &str = "1000000";
 
@@ -78,43 +79,40 @@ fn sample_trace() -> Trace {
 }
 
 /// The data half of the fault matrix, against real files: header
-/// corruption and truncation of an on-disk trace must both come back as
-/// typed `VlppError`s carrying the file's path — and malformed JSON as
-/// a parse error — with zero panics across the whole seeded plan.
+/// corruption and truncation of an on-disk compact trace must both make
+/// `vlpp run` exit with a typed `trace-read` error naming the file — and
+/// malformed JSON must come back as a parse error — with zero panics
+/// across the whole seeded plan.
 #[test]
 fn seeded_data_faults_yield_typed_errors_with_context() {
     let dir = temp_dir("data");
-    let pristine = dir.join("pristine.vlpt");
-    trace_io::write_binary_file(&sample_trace(), &pristine).expect("write trace");
-    let bytes = std::fs::read(&pristine).expect("read back");
+    let mut bytes = Vec::new();
+    let mut writer = ChunkedWriter::new(&mut bytes, DEFAULT_CHUNK_RECORDS).expect("header");
+    for record in sample_trace().iter() {
+        writer.push(record).expect("push");
+    }
+    writer.finish().expect("finish");
 
     let mut plan = FaultPlan::new(0xA5ED);
-    let damaged = dir.join("damaged.vlpt");
+    let damaged = dir.join("damaged.vlpc");
+    let run_damaged = |what: &str| {
+        let output = vlpp().args(["run", "--trace"]).arg(&damaged).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{what} must not replay: {stderr}");
+        assert!(stderr.contains("error (trace-read)"), "{what}: typed phase expected: {stderr}");
+        assert!(stderr.contains("damaged.vlpc"), "{what}: error must carry the path: {stderr}");
+    };
 
     // Corrupt trace: any flip in the 6 magic/version bytes must error.
     for fault in plan.header_faults(6, 8) {
         std::fs::write(&damaged, fault.apply(&bytes)).expect("write damaged");
-        let error =
-            trace_io::read_binary_file(&damaged).expect_err("corrupt header must not parse");
-        match &error {
-            VlppError::Trace { path: Some(path), .. } => {
-                assert!(path.ends_with("damaged.vlpt"), "error must carry the path")
-            }
-            other => panic!("expected a trace error with path context, got {other:?}"),
-        }
-        assert_eq!(error.phase(), "trace-read");
+        run_damaged(&format!("{fault:?}"));
     }
 
-    // Truncated trace: the error must say how far the data reached.
+    // Truncated trace: every cut, header or payload, must error.
     for keep in [0usize, 10, 16, 17, 16 + 18 * 7 + 5] {
         std::fs::write(&damaged, DataFault::Truncate { keep }.apply(&bytes)).unwrap();
-        let error =
-            trace_io::read_binary_file(&damaged).expect_err("truncated trace must not parse");
-        let rendered = error.to_string();
-        assert!(
-            rendered.contains("damaged.vlpt"),
-            "truncation error must carry the path: {rendered}"
-        );
+        run_damaged(&format!("truncation to {keep} bytes"));
     }
 
     // Malformed JSON: typed parse error with an offset, never a panic.

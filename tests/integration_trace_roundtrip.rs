@@ -1,32 +1,33 @@
-//! Cross-crate trace integrity: synthetic traces survive serialization,
-//! and identical traces drive identical predictions (determinism of the
-//! whole pipeline).
+//! Cross-crate trace integrity: synthetic traces survive the compact
+//! trace format, and identical traces drive identical predictions
+//! (determinism of the whole pipeline).
 
 use vlpp_core::{HashAssignment, PathConditional, PathConfig};
 use vlpp_predict::Gshare;
 use vlpp_sim::run_conditional;
 use vlpp_synth::{suite, InputSet};
-use vlpp_trace::io as trace_io;
+use vlpp_trace::compact::{ChunkedReader, ChunkedWriter, DEFAULT_CHUNK_RECORDS};
 use vlpp_trace::stats::TraceStats;
+use vlpp_trace::{Trace, TraceSource};
 
-#[test]
-fn synthetic_traces_round_trip_through_binary_format() {
-    let spec = suite::benchmark("li").unwrap();
-    let trace = spec.build_program().execute(InputSet::Test, 50_000);
+/// Writes `trace` as a chunked compact stream and reads it back.
+fn through_compact(trace: &Trace) -> Trace {
     let mut buffer = Vec::new();
-    trace_io::write_binary(&trace, &mut buffer).expect("write succeeds");
-    let back = trace_io::read_binary(&buffer[..]).expect("read succeeds");
-    assert_eq!(trace, back);
-    assert_eq!(TraceStats::from_trace(&trace), TraceStats::from_trace(&back));
+    let mut writer = ChunkedWriter::new(&mut buffer, DEFAULT_CHUNK_RECORDS).expect("header");
+    for record in trace.iter() {
+        writer.push(record).expect("write succeeds");
+    }
+    writer.finish().expect("finish succeeds");
+    ChunkedReader::new(&buffer[..]).and_then(|mut r| r.read_to_trace()).expect("read succeeds")
 }
 
 #[test]
-fn synthetic_traces_round_trip_through_text_format() {
-    let spec = suite::benchmark("compress").unwrap();
-    let trace = spec.build_program().execute(InputSet::Profile, 5_000);
-    let text = trace_io::write_text(&trace);
-    let back = trace_io::read_text(&text).expect("parse succeeds");
+fn synthetic_traces_round_trip_through_compact_format() {
+    let spec = suite::benchmark("li").unwrap();
+    let trace = spec.build_program().execute(InputSet::Test, 50_000);
+    let back = through_compact(&trace);
     assert_eq!(trace, back);
+    assert_eq!(TraceStats::from_trace(&trace), TraceStats::from_trace(&back));
 }
 
 #[test]
@@ -35,7 +36,7 @@ fn identical_traces_drive_identical_predictions() {
     let program = spec.build_program();
     let trace = program.execute(InputSet::Test, 100_000);
 
-    let run = |trace: &vlpp_trace::Trace| {
+    let run = |trace: &Trace| {
         let mut gshare = Gshare::new(12);
         let gshare_stats = run_conditional(&mut gshare, trace);
         let mut path = PathConditional::new(PathConfig::new(12), HashAssignment::fixed(6));
@@ -49,10 +50,7 @@ fn identical_traces_drive_identical_predictions() {
     assert_eq!(run(&trace), run(&trace2));
 
     // And through serialization.
-    let mut buffer = Vec::new();
-    trace_io::write_binary(&trace, &mut buffer).unwrap();
-    let back = trace_io::read_binary(&buffer[..]).unwrap();
-    assert_eq!(run(&trace), run(&back));
+    assert_eq!(run(&trace), run(&through_compact(&trace)));
 }
 
 #[test]
